@@ -27,6 +27,7 @@
 #include "table/merger.h"
 #include "table/table_builder.h"
 #include "util/coding.h"
+#include "util/crc32c.h"
 #include "util/json.h"
 #include "util/logging.h"
 #include "wal/log_reader.h"
@@ -3217,6 +3218,9 @@ bool DBImpl::GetProperty(const Slice& property, std::string* value) {
     JsonWriter w;
     w.BeginObject();
     w.KV("db", dbname_);
+    // Which CRC32C loop this host runs (every WAL append and table block
+    // pays it), so a slow host can be told apart from a slow engine.
+    w.KV("crc32c", crc32c::IsHardwareAccelerated() ? "sse4.2" : "portable");
     w.Key("levels");
     w.BeginArray();
     for (int level = 0; level < versions_->NumLevels(); level++) {

@@ -50,6 +50,7 @@ class Repairer {
         icmp_(options.comparator),
         ipolicy_(options.filter_policy),
         options_(SanitizeOptions(dbname, &icmp_, &ipolicy_, options)),
+        owns_info_log_(options.info_log != options_.info_log),
         owns_cache_(options.block_cache != options_.block_cache),
         next_file_number_(1) {
     // TableCache can be small since we expect each table to be opened once.
@@ -58,6 +59,9 @@ class Repairer {
 
   ~Repairer() {
     delete table_cache_;
+    if (owns_info_log_) {
+      delete options_.info_log;
+    }
     if (owns_cache_) {
       delete options_.block_cache;
     }
@@ -150,7 +154,7 @@ class Repairer {
     // We intentionally make the log::Reader do checksumming so that
     // corruptions cause entire commits to be skipped instead of propagating
     // bad information (like overly large sequence numbers).
-    log::Reader reader(lfile, &reporter, false /*do not checksum*/,
+    log::Reader reader(lfile, &reporter, true /*checksum*/,
                        0 /*initial_offset*/);
 
     // Read all the records and add to a memtable
@@ -347,6 +351,7 @@ class Repairer {
   InternalKeyComparator const icmp_;
   InternalFilterPolicy const ipolicy_;
   const Options options_;
+  const bool owns_info_log_;
   const bool owns_cache_;
   TableCache* table_cache_;
 

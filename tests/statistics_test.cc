@@ -13,6 +13,7 @@
 #include "ldc/db.h"
 #include "ldc/env.h"
 #include "ldc/statistics.h"
+#include "util/crc32c.h"
 #include "util/histogram.h"
 #include "util/random.h"
 #include "workload/key_generator.h"
@@ -147,6 +148,8 @@ TEST_F(StatsJsonPropertyTest, DocumentHasLevelsAndPercentiles) {
   ASSERT_TRUE(JsonParser::Parse(json, &doc)) << json;
 
   EXPECT_EQ("/db", doc["db"].string_value);
+  EXPECT_EQ(crc32c::IsHardwareAccelerated() ? "sse4.2" : "portable",
+            doc["crc32c"].string_value);
   ASSERT_TRUE(doc.Has("levels"));
   ASSERT_GT(doc["levels"].array.size(), 0u);
 
