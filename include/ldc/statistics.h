@@ -25,8 +25,8 @@ constexpr int kMaxIoChannels = 8;
 
 enum Ticker : uint32_t {
   // I/O volume.
-  kCompactionReadBytes = 0,   // bytes read by compaction merges (UDC + LDC)
-  kCompactionWriteBytes,      // bytes written by compaction merges
+  kCompactionReadBytes = 0,   // bytes read by installed merges (all styles)
+  kCompactionWriteBytes,      // bytes written by installed merges
   kFlushWriteBytes,           // bytes written by memtable flushes
   kWalWriteBytes,             // bytes appended to the write-ahead log
   kUserReadBytes,             // data-block bytes read serving user reads
@@ -40,12 +40,12 @@ enum Ticker : uint32_t {
                               // check (read path, Version::Get)
 
   // Compaction activity.
-  kCompactions,               // UDC compactions performed
-  kTrivialMoves,              // files moved down without rewrite
+  kCompactions,               // UDC compactions and tiered merges installed
+  kTrivialMoves,              // files moved down without rewrite (installed)
   kFlushes,                   // memtable flushes
   kLdcLinks,                  // LDC link operations (metadata only)
   kLdcSlicesCreated,          // slices created across all links
-  kLdcMerges,                 // LDC lower-level driven merges
+  kLdcMerges,                 // LDC lower-level driven merges installed
   kLdcFrozenFilesReclaimed,   // frozen files garbage-collected
 
   // Read path.

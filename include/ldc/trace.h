@@ -144,6 +144,7 @@ class TraceSpan {
   bool active() const { return tracer_ != nullptr; }
   uint64_t id() const { return event_.id; }
   uint64_t start_ts() const { return event_.ts; }
+  TraceCat cat() const { return event_.cat; }
   Tracer* tracer() const { return tracer_; }
 
   // Marks this span as caused by the event that emitted flow id `id`.

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -104,10 +106,11 @@ static void ClipToRange(T* ptr, V minvalue, V maxvalue) {
 // aggregate share of the job — the quantity intra-merge pipelining work
 // needs to compare. Durations come from Env::NowMicros (deterministic
 // counter under the in-memory Env, wall time elsewhere).
-void EmitStageSpans(TraceSpan* span, TraceCat cat, const char* label,
-                    uint64_t read_us, uint64_t merge_us, uint64_t write_us) {
+void EmitStageSpans(TraceSpan* span, const char* label, uint64_t read_us,
+                    uint64_t merge_us, uint64_t write_us) {
   if (!span->active()) return;
   Tracer* tracer = span->tracer();
+  const TraceCat cat = span->cat();
   const uint64_t ts = span->start_ts();
   tracer->Complete(cat, "stage.read", ts, read_us, label);
   tracer->Complete(cat, "stage.merge", ts + read_us, merge_us, label);
@@ -116,40 +119,6 @@ void EmitStageSpans(TraceSpan* span, TraceCat cat, const char* label,
 }
 
 }  // namespace
-
-struct DBImpl::CompactionState {
-  // Files produced by compaction
-  struct Output {
-    uint64_t number;
-    uint64_t file_size;
-    InternalKey smallest, largest;
-  };
-
-  Output* current_output() { return &outputs[outputs.size() - 1]; }
-
-  explicit CompactionState(Compaction* c)
-      : compaction(c),
-        smallest_snapshot(0),
-        outfile(nullptr),
-        builder(nullptr),
-        total_bytes(0) {}
-
-  Compaction* const compaction;
-
-  // Sequence numbers < smallest_snapshot are not significant since we
-  // will never have to service a snapshot below smallest_snapshot.
-  // Therefore if we have seen a sequence number S <= smallest_snapshot,
-  // we can drop all entries for the same key with sequence numbers < S.
-  SequenceNumber smallest_snapshot;
-
-  std::vector<Output> outputs;
-
-  // State kept for output being generated
-  WritableFile* outfile;
-  TableBuilder* builder;
-
-  uint64_t total_bytes;
-};
 
 // Information kept for every waiting writer in the group-commit queue.
 // The front of writers_ is the leader: it builds the batch group, appends
@@ -1111,17 +1080,9 @@ void DBImpl::FillJobQueue() {
       //     the same level naturally select different upper files, and any
       //     key-range overlap between two compactions would surface as a
       //     shared (claimed) level+1 input file.
-      while (slots_left() > 0 && versions_->NeedsCompaction()) {
-        const uint64_t pick_start_us = env_->NowMicros();
-        Compaction* c = versions_->PickCompaction(&claimed_files_);
+      while (slots_left() > 0) {
+        Compaction* c = PickUdcCompaction();
         if (c == nullptr) break;
-        {
-          // Attribute the picking cost to the output level (count stays
-          // zero; only completed data work increments it).
-          CompactionStats pick_stats;
-          pick_stats.pick_micros = env_->NowMicros() - pick_start_us;
-          versions_->AddCompactionStats(c->level() + 1, pick_stats);
-        }
         bool conflict = false;
         std::vector<uint64_t> inputs;
         for (int which = 0; which < 2 && !conflict; which++) {
@@ -1139,23 +1100,6 @@ void DBImpl::FillJobQueue() {
           // installs (compact_pointer_ wraps around).
           delete c;
           break;
-        }
-        if (c->IsTrivialMove()) {
-          assert(c->num_input_files(0) == 1);
-          FileMetaData* f = c->input(0, 0);
-          c->edit()->RemoveFile(c->level(), f->number);
-          c->edit()->AddFile(c->level() + 1, f->number, f->file_size,
-                             f->smallest, f->largest);
-          Status s = versions_->LogAndApply(c->edit());
-          if (!s.ok()) {
-            RecordBackgroundError(s);
-          } else {
-            PublishReadState();  // new current version
-          }
-          if (stats_ != nullptr) stats_->Record(kTrivialMoves);
-          delete c;
-          if (!bg_error_.ok()) return;
-          continue;
         }
         claimed_files_.insert(inputs.begin(), inputs.end());
         BackgroundJob job;
@@ -1231,26 +1175,24 @@ void DBImpl::ExecuteBackgroundJob(BackgroundJob* job) {
       if (stats_ != nullptr) {
         stats_->AddGauge(kLdcMergesRunning);
       }
-      Status s = DoLdcMerge(job->lower_file);
+      DoLdcMerge(job->lower_file);
       running_ldc_merges_--;
       if (stats_ != nullptr) {
         stats_->SubGauge(kLdcMergesRunning);
       }
       merges_in_flight_.erase(job->lower_file);
-      if (!s.ok()) RecordBackgroundError(s);
       break;
     }
     case kJobUdcCompaction: {
       Compaction* c = job->compaction;
       job->compaction = nullptr;
-      BackgroundCompactionUdc(c);  // Deletes c; records its own errors.
+      DoUdcCompaction(c);  // Deletes c.
       for (uint64_t n : job->claims) claimed_files_.erase(n);
       break;
     }
     case kJobTieredMerge: {
-      Status s = DoTieredMerge(job->claims);
+      DoTieredMerge(job->claims);
       for (uint64_t n : job->claims) claimed_files_.erase(n);
-      if (!s.ok()) RecordBackgroundError(s);
       break;
     }
     default:
@@ -1352,45 +1294,18 @@ bool DBImpl::ScheduleBackgroundWorkSim() {
     return scheduled;
   }
 
-  // 2b. UDC: pick a classic compaction. Trivial moves are pure metadata and
-  //     are applied instantly.
-  while (versions_->NeedsCompaction()) {
-    const uint64_t pick_start_us = env_->NowMicros();
-    Compaction* c = versions_->PickCompaction();
-    if (c == nullptr) break;
-    {
-      // Attribute the picking cost to the output level (count stays zero;
-      // only completed data work increments it).
-      CompactionStats pick_stats;
-      pick_stats.pick_micros = env_->NowMicros() - pick_start_us;
-      versions_->AddCompactionStats(c->level() + 1, pick_stats);
-    }
-    if (c->IsTrivialMove()) {
-      assert(c->num_input_files(0) == 1);
-      FileMetaData* f = c->input(0, 0);
-      c->edit()->RemoveFile(c->level(), f->number);
-      c->edit()->AddFile(c->level() + 1, f->number, f->file_size, f->smallest,
-                         f->largest);
-      Status s = versions_->LogAndApply(c->edit());
-      if (!s.ok()) {
-        RecordBackgroundError(s);
-      } else {
-        PublishReadState();  // new current version
-      }
-      if (stats_ != nullptr) stats_->Record(kTrivialMoves);
-      delete c;
-      continue;
-    }
-    const uint64_t input_bytes = c->TotalInputBytes();
-    // Stash the picked compaction for the job body. At most one
-    // compaction-class job can be outstanding, so a single slot suffices.
-    assert(scheduled_udc_ == nullptr);
-    scheduled_udc_ = c;
-    start_job(kJobUdcCompaction, 0, input_bytes, input_bytes,
-              SimActivity::kCompaction);
-    return true;
-  }
-  return scheduled;
+  // 2b. UDC: pick a classic compaction (trivial moves are applied on the
+  //     way).
+  Compaction* c = PickUdcCompaction();
+  if (c == nullptr) return scheduled;
+  const uint64_t input_bytes = c->TotalInputBytes();
+  // Stash the picked compaction for the job body. At most one
+  // compaction-class job can be outstanding, so a single slot suffices.
+  assert(scheduled_udc_ == nullptr);
+  scheduled_udc_ = c;
+  start_job(kJobUdcCompaction, 0, input_bytes, input_bytes,
+            SimActivity::kCompaction);
+  return true;
 }
 
 void DBImpl::RunBackgroundJob(int job_kind, uint64_t arg) {
@@ -1407,26 +1322,20 @@ void DBImpl::RunBackgroundJob(int job_kind, uint64_t arg) {
     case kJobUdcCompaction: {
       Compaction* c = scheduled_udc_;
       scheduled_udc_ = nullptr;
-      BackgroundCompactionUdc(c);
+      DoUdcCompaction(c);
       break;
     }
     case kJobLdcMerge: {
       assert(!pending_merges_.empty() && pending_merges_.front() == arg);
       pending_merges_.pop_front();
       pending_merge_set_.erase(arg);
-      Status s = DoLdcMerge(arg);
-      if (!s.ok()) {
-        RecordBackgroundError(s);
-      }
+      DoLdcMerge(arg);
       break;
     }
     case kJobTieredMerge: {
       std::vector<uint64_t> group = std::move(scheduled_tier_group_);
       scheduled_tier_group_.clear();
-      Status s = DoTieredMerge(group);
-      if (!s.ok()) {
-        RecordBackgroundError(s);
-      }
+      DoTieredMerge(group);
       break;
     }
     default:
@@ -1449,17 +1358,328 @@ void DBImpl::RunBackgroundJob(int job_kind, uint64_t arg) {
   mutex_.unlock();
 }
 
-void DBImpl::BackgroundCompactionUdc(Compaction* c) {
-  assert(c != nullptr);
-  CompactionState* compact = new CompactionState(c);
-  Status status = DoCompactionWork(compact);
-  if (!status.ok()) {
+Compaction* DBImpl::PickUdcCompaction() {
+  while (bg_error_.ok() && versions_->NeedsCompaction()) {
+    const uint64_t pick_start_us = env_->NowMicros();
+    Compaction* c = versions_->PickCompaction(&claimed_files_);
+    if (c == nullptr) break;
+    {
+      // Attribute the picking cost to the output level (count stays zero;
+      // only completed data work increments it).
+      CompactionStats pick_stats;
+      pick_stats.pick_micros = env_->NowMicros() - pick_start_us;
+      versions_->AddCompactionStats(c->level() + 1, pick_stats);
+    }
+    if (!c->IsTrivialMove()) return c;
+    FileMetaData* f = c->input(0, 0);
+    c->edit()->RemoveFile(c->level(), f->number);
+    c->edit()->AddFile(c->level() + 1, f->number, f->file_size, f->smallest,
+                       f->largest);
+    Status s = versions_->LogAndApply(c->edit());
+    if (s.ok()) {
+      PublishReadState();  // new current version
+      if (stats_ != nullptr) stats_->Record(kTrivialMoves);
+    } else {
+      RecordBackgroundError(s);
+    }
+    delete c;
+  }
+  return nullptr;
+}
+
+// ---------------------------------------------------------------------------
+// The merge kernel (paper Algorithm 1, merge(); UDC's compaction)
+// ---------------------------------------------------------------------------
+
+// Everything in which one style's merge job differs from another's: which
+// files feed it, where its output goes, when a tombstone may go, how
+// outputs are cut, and what its install consumes. RunMerge does the rest.
+struct DBImpl::MergePlan {
+  // What OnCompactionBegin reports; RunMerge fills in the results.
+  CompactionJobInfo info;
+  // The part of info.bytes_read that arrives from the level above; the
+  // rest is resident data rewritten in place (CompactionStats).
+  uint64_t bytes_read_upper = 0;
+  // Counts the installed jobs of this style.
+  Ticker ticker = kCompactions;
+  // The job's span, owned by the planner; the stage sub-spans and the
+  // unblocker flow hang off it.
+  TraceSpan* span = nullptr;
+  // Opens the merged input. Called right after OnCompactionBegin, so the
+  // merge is charged with whatever opening costs.
+  std::function<Iterator*()> open_input;
+  // Whether a tombstone no snapshot needs may be dropped: nothing older
+  // for the user key lies outside the inputs. Called in key order.
+  std::function<bool(const Slice& user_key)> tombstone_may_drop;
+  // An output is cut at the first user-key boundary once it reaches this
+  // size, so one user key never spans two files.
+  uint64_t max_output_bytes = std::numeric_limits<uint64_t>::max();
+  // The install edit (null: a fresh one) and what it consumes besides
+  // adding the outputs. consume_inputs runs under mutex_ at install time.
+  VersionEdit* edit = nullptr;
+  std::function<void(VersionEdit*)> consume_inputs;
+  // Style-specific reporting after a successful install (may be empty).
+  std::function<void(const CompactionJobInfo&)> on_installed;
+  // Drops the planner's pin on the inputs, before the obsolete-file sweep.
+  std::function<void()> unpin;
+};
+
+void DBImpl::RunMerge(MergePlan* plan) {
+  CompactionJobInfo& info = plan->info;
+  info.db_name = dbname_;
+  const uint64_t start_us = env_->NowMicros();
+  info.micros = start_us;
+  NotifyCompactionEvent(false, info);
+  Iterator* input = plan->open_input();
+
+  // Sequence numbers at or below the oldest snapshot are not significant
+  // once a newer entry for the same user key has been seen: no reader can
+  // ask for them.
+  SequenceNumber smallest_snapshot;
+  {
+    std::lock_guard<std::mutex> sl(snapshots_mutex_);
+    smallest_snapshot = snapshots_.empty()
+                            ? versions_->LastSequence()
+                            : snapshots_.oldest()->sequence_number();
+  }
+
+  std::vector<FileMetaData> outputs;
+  WritableFile* outfile = nullptr;
+  TableBuilder* builder = nullptr;
+  uint64_t bytes_written = 0;
+  uint64_t read_us = 0;
+  uint64_t write_us = 0;
+
+  // Called from the unlocked loop; allocating the file number and
+  // shielding it from the obsolete-file sweep needs the mutex.
+  auto open_output = [&]() -> Status {
+    FileMetaData out;
+    mutex_.lock();
+    out.number = versions_->NewFileNumber();
+    pending_outputs_.insert(out.number);
+    mutex_.unlock();
+    outputs.push_back(out);
+    Status s = env_->NewWritableFile(TableFileName(dbname_, out.number),
+                                     WriteHint::kCompaction, &outfile);
+    if (s.ok()) builder = new TableBuilder(options_, outfile);
+    return s;
+  };
+  // Finishes, syncs and closes the open output, then warms it into the
+  // block cache (a real system's page cache still holds what was just
+  // written); the warm reads the new table back, which verifies it.
+  auto finish_output = [&]() -> Status {
+    const uint64_t t0 = env_->NowMicros();
+    FileMetaData& out = outputs.back();
+    Status s = input->status();
+    if (s.ok()) {
+      s = builder->Finish();
+    } else {
+      builder->Abandon();
+    }
+    out.file_size = builder->FileSize();
+    bytes_written += out.file_size;
+    delete builder;
+    builder = nullptr;
+    if (s.ok()) s = outfile->Sync();
+    if (s.ok()) s = outfile->Close();
+    delete outfile;
+    outfile = nullptr;
+    if (s.ok()) s = table_cache_->WarmTable(out.number, out.file_size);
+    write_us += env_->NowMicros() - t0;
+    return s;
+  };
+
+  // The inputs are immutable and pinned by the planner; merge them with
+  // the lock released so foreground operations proceed.
+  mutex_.unlock();
+  const uint64_t loop_start_us = env_->NowMicros();
+  {
+    const uint64_t t0 = env_->NowMicros();
+    input->SeekToFirst();
+    read_us += env_->NowMicros() - t0;
+  }
+  Status status;
+  const Comparator* user_cmp = internal_comparator_.user_comparator();
+  std::string current_user_key;
+  bool has_current_user_key = false;
+  SequenceNumber last_sequence_for_key = kMaxSequenceNumber;
+  while (input->Valid() && !shutting_down_.load(std::memory_order_acquire)) {
+    // Give a waiting flush priority over the (long) merge loop — unless a
+    // concurrent flush job already claimed it.
+    if (sim_ == nullptr && has_imm_.load(std::memory_order_relaxed)) {
+      mutex_.lock();
+      if (imm_ != nullptr && !flush_claimed_) {
+        flush_claimed_ = true;
+        CompactMemTable();
+        flush_claimed_ = false;
+        background_work_finished_signal_.notify_all();
+      }
+      mutex_.unlock();
+    }
+    const Slice key = input->key();
+    bool drop = false;
+    ParsedInternalKey ikey;
+    if (!ParseInternalKey(key, &ikey)) {
+      // Do not hide error keys.
+      current_user_key.clear();
+      has_current_user_key = false;
+      last_sequence_for_key = kMaxSequenceNumber;
+    } else {
+      if (!has_current_user_key ||
+          user_cmp->Compare(ikey.user_key, Slice(current_user_key)) != 0) {
+        // First occurrence of this user key.
+        current_user_key.assign(ikey.user_key.data(), ikey.user_key.size());
+        has_current_user_key = true;
+        last_sequence_for_key = kMaxSequenceNumber;
+        // Cut only at user-key boundaries (LDC's responsibility ranges
+        // need every version of a key in one file).
+        if (builder != nullptr &&
+            builder->FileSize() >= plan->max_output_bytes) {
+          status = finish_output();
+          if (!status.ok()) break;
+        }
+      }
+      if (last_sequence_for_key <= smallest_snapshot) {
+        drop = true;  // Hidden by a newer entry for the same user key.
+      } else if (ikey.type == kTypeDeletion &&
+                 ikey.sequence <= smallest_snapshot &&
+                 plan->tombstone_may_drop(ikey.user_key)) {
+        // No snapshot needs this tombstone and nothing it hides lies
+        // outside the inputs; the older entries inside them are dropped by
+        // the rule above in the next few iterations.
+        drop = true;
+      }
+      last_sequence_for_key = ikey.sequence;
+    }
+    if (!drop) {
+      const uint64_t t0 = env_->NowMicros();
+      if (builder == nullptr) {
+        status = open_output();
+        if (!status.ok()) break;
+      }
+      if (builder->NumEntries() == 0) {
+        outputs.back().smallest.DecodeFrom(key);
+      }
+      outputs.back().largest.DecodeFrom(key);
+      builder->Add(key, input->value());
+      write_us += env_->NowMicros() - t0;
+    }
+    {
+      const uint64_t t0 = env_->NowMicros();
+      input->Next();
+      read_us += env_->NowMicros() - t0;
+    }
+  }
+  if (status.ok() && shutting_down_.load(std::memory_order_acquire)) {
+    status = Status::IOError("Deleting DB during compaction");
+  }
+  if (status.ok() && builder != nullptr) {
+    status = finish_output();
+  }
+  if (status.ok()) {
+    status = input->status();
+  }
+  const uint64_t loop_us = env_->NowMicros() - loop_start_us;
+  delete input;
+  if (builder != nullptr) {
+    // Stopped early: the open output is never installed.
+    builder->Abandon();
+    delete builder;
+  }
+  delete outfile;
+  mutex_.lock();
+
+  if (status.ok() && !bg_error_.ok()) {
+    // A concurrent job failed while this merge ran unlocked; do not
+    // install on top of a suspect manifest state.
+    status = bg_error_;
+  }
+  CompactionStats cstats;
+  if (status.ok()) {
+    VersionEdit fresh_edit;
+    VersionEdit* edit = plan->edit != nullptr ? plan->edit : &fresh_edit;
+    plan->consume_inputs(edit);
+    for (const FileMetaData& out : outputs) {
+      edit->AddFile(info.output_level, out.number, out.file_size,
+                    out.smallest, out.largest);
+    }
+    const uint64_t install_start_us = env_->NowMicros();
+    status = versions_->LogAndApply(edit);
+    cstats.install_micros = env_->NowMicros() - install_start_us;
+  }
+  if (status.ok()) {
+    PublishReadState();  // new current version
+    if (stats_ != nullptr) {
+      stats_->Record(plan->ticker);
+      stats_->Record(kCompactionReadBytes, info.bytes_read);
+      stats_->Record(kCompactionWriteBytes, bytes_written);
+    }
+    cstats.micros = env_->NowMicros() - start_us;
+    cstats.read_micros = read_us;
+    cstats.write_micros = write_us;
+    cstats.merge_micros =
+        loop_us > read_us + write_us ? loop_us - read_us - write_us : 0;
+    cstats.bytes_read_upper = plan->bytes_read_upper;
+    cstats.bytes_read_lower = info.bytes_read - plan->bytes_read_upper;
+    cstats.bytes_written = bytes_written;
+    cstats.count = 1;
+    versions_->AddCompactionStats(info.output_level, cstats);
+
+    info.num_output_files = static_cast<int>(outputs.size());
+    info.bytes_written = bytes_written;
+    info.micros = env_->NowMicros();
+    info.duration_micros = info.micros - start_us;
+    NotifyCompactionEvent(true, info);
+    if (plan->on_installed) plan->on_installed(info);
+
+    plan->span->SetArg2("write_bytes", bytes_written);
+    EmitStageSpans(plan->span, trace_label_.c_str(), read_us,
+                   cstats.merge_micros, write_us);
+    // A finished merge drains level-0 pressure (and the flush this loop
+    // may have run clears memtable stalls): expose the span's flow id so a
+    // woken writer's stall span can point back at it.
+    last_unblocker_flow_ = plan->span->EmitFlowOut();
+  } else {
     RecordBackgroundError(status);
   }
-  CleanupCompaction(compact);
-  c->ReleaseInputs();
-  delete c;
+  for (const FileMetaData& out : outputs) {
+    pending_outputs_.erase(out.number);
+  }
+  // Unpin before sweeping: while pinned, the inputs this merge just
+  // consumed still count as live and would survive the sweep.
+  plan->unpin();
   RemoveObsoleteFiles();
+}
+
+// ---------------------------------------------------------------------------
+// UDC: classic leveled compaction
+// ---------------------------------------------------------------------------
+
+void DBImpl::DoUdcCompaction(Compaction* c) {
+  TraceSpan span(tracer_, TraceCat::kCompaction, "job.udc_compaction");
+  span.SetLabel(trace_label_);
+  span.SetArg1("level", static_cast<uint64_t>(c->level()));
+  MergePlan plan;
+  plan.info.style = CompactionStyle::kUdc;
+  plan.info.input_level = c->level();
+  plan.info.output_level = c->level() + 1;
+  plan.info.num_input_files = c->num_input_files(0) + c->num_input_files(1);
+  plan.info.bytes_read = c->TotalInputBytes();
+  for (int i = 0; i < c->num_input_files(0); i++) {
+    plan.bytes_read_upper += c->input(0, i)->file_size;
+  }
+  plan.span = &span;
+  // The compaction pins its input version until ReleaseInputs.
+  plan.open_input = [this, c] { return versions_->MakeInputIterator(c); };
+  plan.tombstone_may_drop = [c](const Slice& user_key) {
+    return c->IsBaseLevelForKey(user_key);
+  };
+  plan.max_output_bytes = c->MaxOutputFileSize();
+  plan.edit = c->edit();  // Already carries the level's compact pointer.
+  plan.consume_inputs = [c](VersionEdit* edit) { c->AddInputDeletions(edit); };
+  plan.unpin = [c] { c->ReleaseInputs(); };
+  RunMerge(&plan);
+  delete c;
 }
 
 // ---------------------------------------------------------------------------
@@ -1503,27 +1723,23 @@ std::vector<uint64_t> DBImpl::PickTieredGroup(uint64_t* total_bytes) {
   return result;
 }
 
-Status DBImpl::DoTieredMerge(const std::vector<uint64_t>& file_numbers) {
-  TraceSpan job_span(tracer_, TraceCat::kCompaction, "job.tiered_merge");
-  job_span.SetLabel(trace_label_);
-  // Entered with mutex_ held. Pin the base version so its file metadata
-  // stays valid while the merge loop runs with the lock released.
+void DBImpl::DoTieredMerge(const std::vector<uint64_t>& file_numbers) {
+  TraceSpan span(tracer_, TraceCat::kCompaction, "job.tiered_merge");
+  span.SetLabel(trace_label_);
+  // Pin the base version so the group's file metadata stays valid while
+  // the merge loop runs with the lock released.
   Version* base = versions_->current();
-  base->Ref();
   std::vector<const FileMetaData*> inputs;
   std::set<uint64_t> wanted(file_numbers.begin(), file_numbers.end());
   for (FileMetaData* f : base->files(0)) {
     if (wanted.count(f->number)) inputs.push_back(f);
   }
-  if (inputs.size() < 2) {
-    base->Unref();
-    return Status::OK();
-  }
+  if (inputs.size() < 2) return;
+  base->Ref();
 
   ReadOptions read_options;
   read_options.verify_checksums = options_.paranoid_checks;
   read_options.fill_cache = false;
-
   std::vector<Iterator*> iters;
   uint64_t input_bytes = 0;
   for (const FileMetaData* f : inputs) {
@@ -1531,30 +1747,10 @@ Status DBImpl::DoTieredMerge(const std::vector<uint64_t>& file_numbers) {
         table_cache_->NewIterator(read_options, f->number, f->file_size));
     input_bytes += f->file_size;
   }
-
-  const uint64_t start_us = env_->NowMicros();
-  CompactionJobInfo info;
-  info.db_name = dbname_;
-  info.style = CompactionStyle::kTiered;
-  info.input_level = 0;
-  info.output_level = 0;
-  info.num_input_files = static_cast<int>(inputs.size());
-  info.bytes_read = input_bytes;
-  info.micros = start_us;
-  NotifyCompactionEvent(false, info);
-
   Iterator* input = NewMergingIterator(&internal_comparator_, iters.data(),
                                        static_cast<int>(iters.size()));
+  span.SetArg1("read_bytes", input_bytes);
 
-  SequenceNumber smallest_snapshot;
-  {
-    std::lock_guard<std::mutex> sl(snapshots_mutex_);
-    if (snapshots_.empty()) {
-      smallest_snapshot = versions_->LastSequence();
-    } else {
-      smallest_snapshot = snapshots_.oldest()->sequence_number();
-    }
-  }
   // Tombstones can only be dropped when this merge covers every file in
   // the store (tiered keeps everything in level 0).
   bool covers_everything = inputs.size() == base->files(0).size();
@@ -1563,177 +1759,26 @@ Status DBImpl::DoTieredMerge(const std::vector<uint64_t>& file_numbers) {
     if (!base->files(level).empty()) covers_everything = false;
   }
 
-  // One output file, deliberately uncut: tiered compaction trades large
-  // batches for fewer rewrites (that is what "lazy" means here).
-  FileMetaData out;
-  out.number = versions_->NewFileNumber();
-  pending_outputs_.insert(out.number);
-
-  // The merge loop reads immutable inputs and writes a fresh file; run it
-  // with the lock released so foreground operations proceed.
-  mutex_.unlock();
-  WritableFile* outfile = nullptr;
-  Status status = env_->NewWritableFile(TableFileName(dbname_, out.number),
-                                        WriteHint::kCompaction, &outfile);
-  TableBuilder* builder =
-      status.ok() ? new TableBuilder(options_, outfile) : nullptr;
-
-  std::string current_user_key;
-  bool has_current_user_key = false;
-  SequenceNumber last_sequence_for_key = kMaxSequenceNumber;
-  uint64_t read_us = 0;
-  uint64_t write_us = 0;
-  const uint64_t loop_start_us = env_->NowMicros();
-  {
-    const uint64_t t0 = env_->NowMicros();
-    input->SeekToFirst();
-    read_us += env_->NowMicros() - t0;
-  }
-  while (input->Valid() && status.ok() &&
-         !shutting_down_.load(std::memory_order_acquire)) {
-    // Give a waiting flush priority over the (long) merge loop — unless a
-    // concurrent flush job already claimed it.
-    if (sim_ == nullptr && has_imm_.load(std::memory_order_relaxed)) {
-      mutex_.lock();
-      if (imm_ != nullptr && !flush_claimed_) {
-        flush_claimed_ = true;
-        CompactMemTable();
-        flush_claimed_ = false;
-        background_work_finished_signal_.notify_all();
-      }
-      mutex_.unlock();
-    }
-    Slice key = input->key();
-    bool drop = false;
-    ParsedInternalKey ikey;
-    if (!ParseInternalKey(key, &ikey)) {
-      current_user_key.clear();
-      has_current_user_key = false;
-      last_sequence_for_key = kMaxSequenceNumber;
-    } else {
-      if (!has_current_user_key ||
-          internal_comparator_.user_comparator()->Compare(
-              ikey.user_key, Slice(current_user_key)) != 0) {
-        current_user_key.assign(ikey.user_key.data(), ikey.user_key.size());
-        has_current_user_key = true;
-        last_sequence_for_key = kMaxSequenceNumber;
-      }
-      if (last_sequence_for_key <= smallest_snapshot) {
-        drop = true;
-      } else if (ikey.type == kTypeDeletion &&
-                 ikey.sequence <= smallest_snapshot && covers_everything) {
-        drop = true;
-      }
-      last_sequence_for_key = ikey.sequence;
-    }
-    if (!drop) {
-      const uint64_t t0 = env_->NowMicros();
-      if (builder->NumEntries() == 0) {
-        out.smallest.DecodeFrom(key);
-      }
-      out.largest.DecodeFrom(key);
-      builder->Add(key, input->value());
-      write_us += env_->NowMicros() - t0;
-    }
-    {
-      const uint64_t t0 = env_->NowMicros();
-      input->Next();
-      read_us += env_->NowMicros() - t0;
-    }
-  }
-  if (status.ok() && shutting_down_.load(std::memory_order_acquire)) {
-    status = Status::IOError("Deleting DB during compaction");
-  }
-  if (status.ok()) status = input->status();
-  delete input;
-
-  if (builder != nullptr) {
-    const uint64_t t0 = env_->NowMicros();
-    const uint64_t entries = builder->NumEntries();
-    if (status.ok() && entries > 0) {
-      status = builder->Finish();
-      out.file_size = builder->FileSize();
-    } else {
-      builder->Abandon();
-    }
-    delete builder;
-    write_us += env_->NowMicros() - t0;
-  }
-  if (outfile != nullptr) {
-    const uint64_t t0 = env_->NowMicros();
-    if (status.ok()) status = outfile->Sync();
-    if (status.ok()) status = outfile->Close();
-    delete outfile;
-    write_us += env_->NowMicros() - t0;
-  }
-  const uint64_t loop_us = env_->NowMicros() - loop_start_us;
-  mutex_.lock();
-
-  if (status.ok() && !bg_error_.ok()) {
-    // A concurrent job failed while this merge ran unlocked; do not
-    // install on top of a suspect manifest state.
-    status = bg_error_;
-  }
-  if (status.ok()) {
-    if (out.file_size > 0) {
-      table_cache_->WarmTable(out.number, out.file_size);
-    }
-    VersionEdit edit;
-    for (const FileMetaData* f : inputs) {
-      edit.RemoveFile(0, f->number);
-    }
-    if (out.file_size > 0) {
-      edit.AddFile(0, out.number, out.file_size, out.smallest, out.largest);
-    } else {
-      env_->RemoveFile(TableFileName(dbname_, out.number));
-    }
-    const uint64_t install_start_us = env_->NowMicros();
-    status = versions_->LogAndApply(&edit);
-    const uint64_t install_us = env_->NowMicros() - install_start_us;
-    if (status.ok()) {
-      PublishReadState();  // new current version
-      if (stats_ != nullptr) {
-        stats_->Record(kCompactions);
-        stats_->Record(kCompactionReadBytes, input_bytes);
-        stats_->Record(kCompactionWriteBytes, out.file_size);
-      }
-      CompactionStats cstats;
-      cstats.micros = env_->NowMicros() - start_us;
-      cstats.read_micros = read_us;
-      cstats.write_micros = write_us;
-      cstats.merge_micros =
-          loop_us > read_us + write_us ? loop_us - read_us - write_us : 0;
-      cstats.install_micros = install_us;
-      cstats.bytes_read_upper = input_bytes;
-      cstats.bytes_written = out.file_size;
-      cstats.count = 1;
-      versions_->AddCompactionStats(0, cstats);
-
-      info.num_output_files = out.file_size > 0 ? 1 : 0;
-      info.bytes_written = out.file_size;
-      info.micros = env_->NowMicros();
-      info.duration_micros = info.micros - start_us;
-      NotifyCompactionEvent(true, info);
-    }
-  }
-  pending_outputs_.erase(out.number);
-  // Unref before sweeping: while base is pinned, the files this merge just
-  // consumed still count as live and would survive the sweep.
-  base->Unref();
-  if (status.ok()) {
-    job_span.SetArg1("read_bytes", input_bytes);
-    job_span.SetArg2("write_bytes", out.file_size);
-    EmitStageSpans(&job_span, TraceCat::kCompaction, trace_label_.c_str(),
-                   read_us,
-                   loop_us > read_us + write_us ? loop_us - read_us - write_us
-                                                : 0,
-                   write_us);
-    // Level 0 drained: expose this span's flow id so a writer stalled on
-    // the L0 triggers can point its stall span back at this merge.
-    last_unblocker_flow_ = job_span.EmitFlowOut();
-    RemoveObsoleteFiles();
-  }
-  return status;
+  MergePlan plan;
+  plan.info.style = CompactionStyle::kTiered;
+  plan.info.input_level = 0;
+  plan.info.output_level = 0;
+  plan.info.num_input_files = static_cast<int>(inputs.size());
+  plan.info.bytes_read = input_bytes;
+  plan.bytes_read_upper = input_bytes;
+  plan.span = &span;
+  plan.open_input = [input] { return input; };
+  plan.tombstone_may_drop = [covers_everything](const Slice&) {
+    return covers_everything;
+  };
+  // One output file, deliberately uncut (max_output_bytes stays at its
+  // maximum): tiered compaction trades large batches for fewer rewrites
+  // (that is what "lazy" means here).
+  plan.consume_inputs = [&inputs](VersionEdit* edit) {
+    for (const FileMetaData* f : inputs) edit->RemoveFile(0, f->number);
+  };
+  plan.unpin = [base] { base->Unref(); };
+  RunMerge(&plan);
 }
 
 // ---------------------------------------------------------------------------
@@ -1868,14 +1913,14 @@ bool DBImpl::DoLdcLinkWork() {
   return changed;
 }
 
-Status DBImpl::DoLdcMerge(uint64_t lower_file_number) {
-  TraceSpan job_span(tracer_, TraceCat::kLdc, "job.ldc_merge");
-  job_span.SetLabel(trace_label_);
-  job_span.SetArg1("lower_file", lower_file_number);
+void DBImpl::DoLdcMerge(uint64_t lower_file_number) {
+  TraceSpan span(tracer_, TraceCat::kLdc, "job.ldc_merge");
+  span.SetLabel(trace_label_);
+  span.SetArg1("lower_file", lower_file_number);
   if (tracer_ != nullptr) {
     const auto flow_it = pending_merge_flow_.find(lower_file_number);
     if (flow_it != pending_merge_flow_.end()) {
-      job_span.SetFlowIn(flow_it->second);
+      span.SetFlowIn(flow_it->second);
       pending_merge_flow_.erase(flow_it);
     }
   }
@@ -1883,12 +1928,10 @@ Status DBImpl::DoLdcMerge(uint64_t lower_file_number) {
   // file-number index rather than a scan over every level).
   Version* base = versions_->current();
   int level = -1;
-  FileMetaData* located = nullptr;
-  if (!base->FindFileByNumber(lower_file_number, &level, &located)) {
-    // The file is gone (stale trigger); nothing to merge.
-    return Status::OK();
+  FileMetaData* lower = nullptr;
+  if (!base->FindFileByNumber(lower_file_number, &level, &lower)) {
+    return;  // The file is gone (stale trigger); nothing to merge.
   }
-  const FileMetaData target = *located;
 
   // Pin the link state alongside the version: the maps behind this snapshot
   // are immutable, so the slice metadata stays valid while the merge loop
@@ -1896,14 +1939,12 @@ Status DBImpl::DoLdcMerge(uint64_t lower_file_number) {
   // merge is unlocked, but DoLdcLinkWork defers any plan that would attach
   // a slice to this lower file (it is claimed in merges_in_flight_), so the
   // live registry's links for this file and this snapshot agree until the
-  // install below consumes them.
+  // install consumes them.
   std::shared_ptr<const LdcLinkState> link_state =
       versions_->registry()->snapshot();
   const std::vector<SliceLinkMeta>* links =
       link_state->Links(lower_file_number);
-  if (links == nullptr || links->empty()) {
-    return Status::OK();
-  }
+  if (links == nullptr || links->empty()) return;
   base->Ref();
 
   ReadOptions read_options;
@@ -1913,8 +1954,8 @@ Status DBImpl::DoLdcMerge(uint64_t lower_file_number) {
   // Assemble the merge inputs: the lower file plus every linked slice,
   // each slice restricted to its key range so only its blocks are read.
   std::vector<Iterator*> inputs;
-  inputs.push_back(table_cache_->NewIterator(read_options, target.number,
-                                             target.file_size));
+  inputs.push_back(table_cache_->NewIterator(read_options, lower->number,
+                                             lower->file_size));
   uint64_t slice_bytes = 0;
   for (const SliceLinkMeta& link : *links) {
     const FrozenFileMeta* frozen = link_state->Frozen(link.frozen_file_number);
@@ -1930,27 +1971,6 @@ Status DBImpl::DoLdcMerge(uint64_t lower_file_number) {
   Iterator* input = NewMergingIterator(&internal_comparator_, inputs.data(),
                                        static_cast<int>(inputs.size()));
 
-  const uint64_t start_us = env_->NowMicros();
-  CompactionJobInfo cinfo;
-  cinfo.db_name = dbname_;
-  cinfo.style = CompactionStyle::kLdc;
-  cinfo.input_level = level;
-  cinfo.output_level = level;
-  cinfo.num_input_files = 1 + num_slices;
-  cinfo.bytes_read = target.file_size + slice_bytes;
-  cinfo.micros = start_us;
-  NotifyCompactionEvent(false, cinfo);
-
-  SequenceNumber smallest_snapshot;
-  {
-    std::lock_guard<std::mutex> sl(snapshots_mutex_);
-    if (snapshots_.empty()) {
-      smallest_snapshot = versions_->LastSequence();
-    } else {
-      smallest_snapshot = snapshots_.oldest()->sequence_number();
-    }
-  }
-
   // Tombstones can be dropped only if no level below this one holds data.
   bool is_bottom = true;
   for (int l = level + 1; l < versions_->NumLevels(); l++) {
@@ -1960,579 +1980,55 @@ Status DBImpl::DoLdcMerge(uint64_t lower_file_number) {
     }
   }
 
-  // Merge loop (paper Algorithm 1, merge()): one newest visible version
-  // per key survives, subject to live snapshots.
-  VersionEdit edit;
-  std::vector<CompactionState::Output> outputs;
-  WritableFile* outfile = nullptr;
-  TableBuilder* builder = nullptr;
-  uint64_t total_output_bytes = 0;
-  Status status;
-
-  std::string current_user_key;
-  bool has_current_user_key = false;
-  SequenceNumber last_sequence_for_key = kMaxSequenceNumber;
-  uint64_t read_us = 0;
-  uint64_t write_us = 0;
-
-  auto finish_output = [&]() {
-    if (builder == nullptr) return;
-    const uint64_t finish_t0 = env_->NowMicros();
-    CompactionState::Output* out = &outputs.back();
-    out->file_size = 0;
-    const uint64_t entries = builder->NumEntries();
-    Status s = entries == 0 ? Status::OK() : builder->Finish();
-    if (entries == 0) builder->Abandon();
-    if (s.ok()) {
-      out->file_size = builder->FileSize();
-      total_output_bytes += out->file_size;
-    } else if (status.ok()) {
-      status = s;
-    }
-    delete builder;
-    builder = nullptr;
-    if (outfile != nullptr) {
-      Status fs = outfile->Sync();
-      if (fs.ok()) fs = outfile->Close();
-      if (!fs.ok() && status.ok()) status = fs;
-      delete outfile;
-      outfile = nullptr;
-    }
-    if (entries == 0 || out->file_size == 0) {
-      // Empty output: drop it.
-      env_->RemoveFile(TableFileName(dbname_, out->number));
-      mutex_.lock();
-      pending_outputs_.erase(out->number);
-      mutex_.unlock();
-      outputs.pop_back();
-    } else {
-      // Merge outputs are freshly written: cache-warm on a real system.
-      table_cache_->WarmTable(out->number, out->file_size);
-    }
-    write_us += env_->NowMicros() - finish_t0;
-  };
-
-  auto open_output = [&]() -> Status {
-    assert(builder == nullptr);
-    CompactionState::Output out;
-    mutex_.lock();
-    out.number = versions_->NewFileNumber();
-    pending_outputs_.insert(out.number);
-    mutex_.unlock();
-    outputs.push_back(out);
-    std::string fname = TableFileName(dbname_, out.number);
-    Status s = env_->NewWritableFile(fname, WriteHint::kCompaction, &outfile);
-    if (s.ok()) {
-      builder = new TableBuilder(options_, outfile);
-    }
-    return s;
-  };
-
-  // Everything below until the install is I/O over immutable inputs (the
-  // pinned version's files and the pinned link snapshot); run it unlocked.
-  mutex_.unlock();
-  const uint64_t loop_start_us = env_->NowMicros();
-  {
-    const uint64_t t0 = env_->NowMicros();
-    input->SeekToFirst();
-    read_us += env_->NowMicros() - t0;
-  }
-  while (input->Valid() && status.ok() &&
-         !shutting_down_.load(std::memory_order_acquire)) {
-    // Give a waiting flush priority over the (long) merge loop — unless a
-    // concurrent flush job already claimed it.
-    if (sim_ == nullptr && has_imm_.load(std::memory_order_relaxed)) {
-      mutex_.lock();
-      if (imm_ != nullptr && !flush_claimed_) {
-        flush_claimed_ = true;
-        CompactMemTable();
-        flush_claimed_ = false;
-        background_work_finished_signal_.notify_all();
-      }
-      mutex_.unlock();
-    }
-    Slice key = input->key();
-
-    bool drop = false;
-    ParsedInternalKey ikey;
-    if (!ParseInternalKey(key, &ikey)) {
-      // Do not hide error keys
-      current_user_key.clear();
-      has_current_user_key = false;
-      last_sequence_for_key = kMaxSequenceNumber;
-    } else {
-      const bool user_key_changed =
-          !has_current_user_key ||
-          internal_comparator_.user_comparator()->Compare(
-              ikey.user_key, Slice(current_user_key)) != 0;
-      if (user_key_changed) {
-        // First occurrence of this user key
-        current_user_key.assign(ikey.user_key.data(), ikey.user_key.size());
-        has_current_user_key = true;
-        last_sequence_for_key = kMaxSequenceNumber;
-        // Close the output file at user-key boundaries once it is big
-        // enough, so one user key never spans two files.
-        if (builder != nullptr &&
-            builder->FileSize() >= options_.max_file_size) {
-          finish_output();
-        }
-      }
-
-      if (last_sequence_for_key <= smallest_snapshot) {
-        // Hidden by a newer entry for same user key
-        drop = true;
-      } else if (ikey.type == kTypeDeletion &&
-                 ikey.sequence <= smallest_snapshot && is_bottom) {
-        // This deletion marker is obsolete and there is no data below.
-        drop = true;
-      }
-
-      last_sequence_for_key = ikey.sequence;
-    }
-
-    if (!drop) {
-      const uint64_t t0 = env_->NowMicros();
-      if (builder == nullptr) {
-        status = open_output();
-        if (!status.ok()) break;
-        outputs.back().smallest.DecodeFrom(key);
-      }
-      if (builder->NumEntries() == 0) {
-        outputs.back().smallest.DecodeFrom(key);
-      }
-      outputs.back().largest.DecodeFrom(key);
-      builder->Add(key, input->value());
-      write_us += env_->NowMicros() - t0;
-    }
-
-    {
-      const uint64_t t0 = env_->NowMicros();
-      input->Next();
-      read_us += env_->NowMicros() - t0;
-    }
-  }
-
-  if (status.ok() && shutting_down_.load(std::memory_order_acquire)) {
-    status = Status::IOError("Deleting DB during compaction");
-  }
-  if (status.ok()) {
-    status = input->status();
-  }
-  finish_output();
-  const uint64_t loop_us = env_->NowMicros() - loop_start_us;
-  delete input;
-  mutex_.lock();
-
-  if (status.ok() && !bg_error_.ok()) {
-    // A concurrent job failed while this merge ran unlocked; do not
-    // install on top of a suspect manifest state.
-    status = bg_error_;
-  }
-  if (status.ok()) {
-    // Build the edit: replace the lower file with the merged outputs at the
-    // same level, consume every link, and reclaim unreferenced frozen files
-    // (Algorithm 1, lines 17-22). The reclaimable set is computed against
-    // the LIVE registry under mutex_ at install time (installs are
-    // serialized), so with concurrent merges the frozen-table refcounts
-    // decrement in install order and only the last consumer reclaims.
-    const std::vector<uint64_t> reclaimable =
-        versions_->registry()->FrozenReclaimableAfterConsume(
-            lower_file_number);
-    edit.RemoveFile(level, target.number);
-    for (const CompactionState::Output& out : outputs) {
-      edit.AddFile(level, out.number, out.file_size, out.smallest,
-                   out.largest);
-    }
-    edit.ConsumeLinks(lower_file_number);
+  MergePlan plan;
+  plan.info.style = CompactionStyle::kLdc;
+  plan.info.input_level = level;
+  plan.info.output_level = level;  // Merged in place (Algorithm 1).
+  plan.info.num_input_files = 1 + num_slices;
+  plan.info.bytes_read = lower->file_size + slice_bytes;
+  // The slices are the data arriving from the upper levels; the lower file
+  // is the resident data being rewritten.
+  plan.bytes_read_upper = slice_bytes;
+  plan.ticker = kLdcMerges;
+  plan.span = &span;
+  plan.open_input = [input] { return input; };
+  plan.tombstone_may_drop = [is_bottom](const Slice&) { return is_bottom; };
+  plan.max_output_bytes = options_.max_file_size;
+  // Replace the lower file with the merged outputs at the same level,
+  // consume every link, and reclaim unreferenced frozen files (Algorithm 1,
+  // lines 17-22). The reclaimable set is computed against the LIVE registry
+  // under mutex_ at install time (installs are serialized), so with
+  // concurrent merges the frozen-table refcounts decrement in install order
+  // and only the last consumer reclaims.
+  std::vector<uint64_t> reclaimable;
+  plan.consume_inputs = [&, level](VersionEdit* edit) {
+    reclaimable =
+        versions_->registry()->FrozenReclaimableAfterConsume(lower_file_number);
+    edit->RemoveFile(level, lower_file_number);
+    edit->ConsumeLinks(lower_file_number);
     for (uint64_t frozen_number : reclaimable) {
-      edit.RemoveFrozenFile(frozen_number);
+      edit->RemoveFrozenFile(frozen_number);
     }
-    const uint64_t install_start_us = env_->NowMicros();
-    status = versions_->LogAndApply(&edit);
-    const uint64_t install_us = env_->NowMicros() - install_start_us;
-    if (status.ok()) {
-      PublishReadState();  // new current version
-      if (stats_ != nullptr) {
-        stats_->Record(kLdcMerges);
-        stats_->Record(kCompactionReadBytes, target.file_size + slice_bytes);
-        stats_->Record(kCompactionWriteBytes, total_output_bytes);
-        stats_->Record(kLdcFrozenFilesReclaimed, reclaimable.size());
-      }
-      CompactionStats cstats;
-      cstats.micros = env_->NowMicros() - start_us;
-      cstats.read_micros = read_us;
-      cstats.write_micros = write_us;
-      cstats.merge_micros =
-          loop_us > read_us + write_us ? loop_us - read_us - write_us : 0;
-      cstats.install_micros = install_us;
-      // The slices are the data arriving from the upper levels; the lower
-      // file is the resident data being rewritten.
-      cstats.bytes_read_upper = slice_bytes;
-      cstats.bytes_read_lower = target.file_size;
-      cstats.bytes_written = total_output_bytes;
-      cstats.count = 1;
-      versions_->AddCompactionStats(level, cstats);
-
-      const uint64_t end_us = env_->NowMicros();
-      cinfo.num_output_files = static_cast<int>(outputs.size());
-      cinfo.bytes_written = total_output_bytes;
-      cinfo.micros = end_us;
-      cinfo.duration_micros = end_us - start_us;
-      NotifyCompactionEvent(true, cinfo);
-
-      LdcMergeInfo minfo;
-      minfo.db_name = dbname_;
-      minfo.level = level;
-      minfo.lower_file_number = lower_file_number;
-      minfo.num_slices = num_slices;
-      minfo.num_output_files = static_cast<int>(outputs.size());
-      minfo.bytes_read = target.file_size + slice_bytes;
-      minfo.bytes_written = total_output_bytes;
-      minfo.frozen_files_reclaimed = static_cast<int>(reclaimable.size());
-      minfo.micros = end_us;
-      minfo.duration_micros = end_us - start_us;
-      NotifyLdcMerge(minfo);
-    }
-  }
-
-  for (const CompactionState::Output& out : outputs) {
-    pending_outputs_.erase(out.number);
-  }
-  // Unref before sweeping: while base is pinned, the files this merge just
-  // consumed still count as live and would survive the sweep.
-  base->Unref();
-  if (status.ok()) {
-    job_span.SetArg2("slices", static_cast<uint64_t>(num_slices));
-    EmitStageSpans(&job_span, TraceCat::kLdc, trace_label_.c_str(), read_us,
-                   loop_us > read_us + write_us ? loop_us - read_us - write_us
-                                                : 0,
-                   write_us);
-    // A finished merge both drains level-0 pressure and (with the flush
-    // this loop may have run inline) clears stalls: expose the flow id.
-    last_unblocker_flow_ = job_span.EmitFlowOut();
-    RemoveObsoleteFiles();
-  }
-  return status;
-}
-
-// ---------------------------------------------------------------------------
-// UDC: classic leveled compaction (DoCompactionWork)
-// ---------------------------------------------------------------------------
-
-void DBImpl::CleanupCompaction(CompactionState* compact) {
-  if (compact->builder != nullptr) {
-    // May happen if we get a shutdown call in the middle of compaction
-    compact->builder->Abandon();
-    delete compact->builder;
-  } else {
-    assert(compact->outfile == nullptr);
-  }
-  delete compact->outfile;
-  for (size_t i = 0; i < compact->outputs.size(); i++) {
-    const CompactionState::Output& out = compact->outputs[i];
-    pending_outputs_.erase(out.number);
-  }
-  delete compact;
-}
-
-Status DBImpl::OpenCompactionOutputFile(CompactionState* compact) {
-  assert(compact != nullptr);
-  assert(compact->builder == nullptr);
-  // Called from the unlocked merge loop; allocating the file number and
-  // shielding it from garbage collection needs the mutex.
-  mutex_.lock();
-  uint64_t file_number = versions_->NewFileNumber();
-  pending_outputs_.insert(file_number);
-  mutex_.unlock();
-  CompactionState::Output out;
-  out.number = file_number;
-  out.smallest.Clear();
-  out.largest.Clear();
-  compact->outputs.push_back(out);
-
-  // Make the output file
-  std::string fname = TableFileName(dbname_, file_number);
-  Status s = env_->NewWritableFile(fname, WriteHint::kCompaction,
-                                   &compact->outfile);
-  if (s.ok()) {
-    compact->builder = new TableBuilder(options_, compact->outfile);
-  }
-  return s;
-}
-
-Status DBImpl::FinishCompactionOutputFile(CompactionState* compact,
-                                          Iterator* input) {
-  assert(compact != nullptr);
-  assert(compact->outfile != nullptr);
-  assert(compact->builder != nullptr);
-
-  const uint64_t output_number = compact->current_output()->number;
-  assert(output_number != 0);
-
-  // Check for iterator errors
-  Status s = input->status();
-  const uint64_t current_entries = compact->builder->NumEntries();
-  if (s.ok()) {
-    s = compact->builder->Finish();
-  } else {
-    compact->builder->Abandon();
-  }
-  const uint64_t current_bytes = compact->builder->FileSize();
-  compact->current_output()->file_size = current_bytes;
-  compact->total_bytes += current_bytes;
-  delete compact->builder;
-  compact->builder = nullptr;
-
-  // Finish and check for file errors
-  if (s.ok()) {
-    s = compact->outfile->Sync();
-  }
-  if (s.ok()) {
-    s = compact->outfile->Close();
-  }
-  delete compact->outfile;
-  compact->outfile = nullptr;
-
-  if (s.ok() && current_entries > 0) {
-    // Verify that the table is usable
-    Iterator* iter = table_cache_->NewIterator(ReadOptions(), output_number,
-                                               current_bytes);
-    s = iter->status();
-    delete iter;
-    // Compaction wrote these pages through the page cache; model that by
-    // warming the block cache with the fresh output.
-    table_cache_->WarmTable(output_number, current_bytes);
-  }
-  return s;
-}
-
-Status DBImpl::InstallCompactionResults(CompactionState* compact) {
-  // Add compaction outputs
-  compact->compaction->AddInputDeletions(compact->compaction->edit());
-  const int level = compact->compaction->level();
-  for (size_t i = 0; i < compact->outputs.size(); i++) {
-    const CompactionState::Output& out = compact->outputs[i];
-    compact->compaction->edit()->AddFile(level + 1, out.number, out.file_size,
-                                         out.smallest, out.largest);
-  }
-  Status s = versions_->LogAndApply(compact->compaction->edit());
-  if (s.ok()) {
-    PublishReadState();  // new current version
-  }
-  return s;
-}
-
-Status DBImpl::DoCompactionWork(CompactionState* compact) {
-  assert(versions_->NumLevelFiles(compact->compaction->level()) > 0);
-  assert(compact->builder == nullptr);
-  assert(compact->outfile == nullptr);
-
-  TraceSpan job_span(tracer_, TraceCat::kCompaction, "job.udc_compaction");
-  job_span.SetLabel(trace_label_);
-  job_span.SetArg1("level",
-                   static_cast<uint64_t>(compact->compaction->level()));
-
-  {
-    std::lock_guard<std::mutex> sl(snapshots_mutex_);
-    if (snapshots_.empty()) {
-      compact->smallest_snapshot = versions_->LastSequence();
-    } else {
-      compact->smallest_snapshot = snapshots_.oldest()->sequence_number();
-    }
-  }
-
-  const uint64_t start_us = env_->NowMicros();
-  uint64_t bytes_upper = 0;
-  uint64_t bytes_lower = 0;
-  for (int which = 0; which < 2; which++) {
-    for (int i = 0; i < compact->compaction->num_input_files(which); i++) {
-      const uint64_t sz = compact->compaction->input(which, i)->file_size;
-      if (which == 0) {
-        bytes_upper += sz;
-      } else {
-        bytes_lower += sz;
-      }
-    }
-  }
-
-  CompactionJobInfo info;
-  info.db_name = dbname_;
-  info.style = CompactionStyle::kUdc;
-  info.input_level = compact->compaction->level();
-  info.output_level = compact->compaction->level() + 1;
-  info.num_input_files = compact->compaction->num_input_files(0) +
-                         compact->compaction->num_input_files(1);
-  info.bytes_read = bytes_upper + bytes_lower;
-  info.micros = start_us;
-  NotifyCompactionEvent(false, info);
-
-  uint64_t read_us = 0;
-  uint64_t write_us = 0;
-  Iterator* input = versions_->MakeInputIterator(compact->compaction);
-
-  // The compaction inputs are immutable and referenced via the compaction's
-  // pinned input version; the merge loop runs with the lock released.
-  mutex_.unlock();
-  const uint64_t loop_start_us = env_->NowMicros();
-  {
-    const uint64_t t0 = env_->NowMicros();
-    input->SeekToFirst();
-    read_us += env_->NowMicros() - t0;
-  }
-  Status status;
-  ParsedInternalKey ikey;
-  std::string current_user_key;
-  bool has_current_user_key = false;
-  SequenceNumber last_sequence_for_key = kMaxSequenceNumber;
-  while (input->Valid() && !shutting_down_.load(std::memory_order_acquire)) {
-    // Give a waiting flush priority over the (long) compaction loop —
-    // unless a concurrent flush job already claimed it.
-    if (sim_ == nullptr && has_imm_.load(std::memory_order_relaxed)) {
-      mutex_.lock();
-      if (imm_ != nullptr && !flush_claimed_) {
-        flush_claimed_ = true;
-        CompactMemTable();
-        flush_claimed_ = false;
-        background_work_finished_signal_.notify_all();
-      }
-      mutex_.unlock();
-    }
-    Slice key = input->key();
-
-    // Handle key/value, add to state, etc.
-    bool drop = false;
-    if (!ParseInternalKey(key, &ikey)) {
-      // Do not hide error keys
-      current_user_key.clear();
-      has_current_user_key = false;
-      last_sequence_for_key = kMaxSequenceNumber;
-    } else {
-      const bool user_key_changed =
-          !has_current_user_key ||
-          internal_comparator_.user_comparator()->Compare(
-              ikey.user_key, Slice(current_user_key)) != 0;
-      if (user_key_changed) {
-        // First occurrence of this user key
-        current_user_key.assign(ikey.user_key.data(), ikey.user_key.size());
-        has_current_user_key = true;
-        last_sequence_for_key = kMaxSequenceNumber;
-        // Close output files only at user-key boundaries so one user key
-        // never spans two files (required by LDC's responsibility ranges
-        // and generally a cleaner invariant).
-        if (compact->builder != nullptr &&
-            compact->builder->FileSize() >=
-                compact->compaction->MaxOutputFileSize()) {
-          const uint64_t t0 = env_->NowMicros();
-          status = FinishCompactionOutputFile(compact, input);
-          write_us += env_->NowMicros() - t0;
-          if (!status.ok()) {
-            break;
-          }
-        }
-      }
-
-      if (last_sequence_for_key <= compact->smallest_snapshot) {
-        // Hidden by an newer entry for same user key
-        drop = true;  // (A)
-      } else if (ikey.type == kTypeDeletion &&
-                 ikey.sequence <= compact->smallest_snapshot &&
-                 compact->compaction->IsBaseLevelForKey(ikey.user_key)) {
-        // For this user key:
-        // (1) there is no data in higher levels
-        // (2) data in lower levels will have larger sequence numbers
-        // (3) data in layers that are being compacted here and have
-        //     smaller sequence numbers will be dropped in the next
-        //     few iterations of this loop (by rule (A) above).
-        // Therefore this deletion marker is obsolete and can be dropped.
-        drop = true;
-      }
-
-      last_sequence_for_key = ikey.sequence;
-    }
-
-    if (!drop) {
-      const uint64_t t0 = env_->NowMicros();
-      // Open output file if necessary
-      if (compact->builder == nullptr) {
-        status = OpenCompactionOutputFile(compact);
-        if (!status.ok()) {
-          break;
-        }
-      }
-      if (compact->builder->NumEntries() == 0) {
-        compact->current_output()->smallest.DecodeFrom(key);
-      }
-      compact->current_output()->largest.DecodeFrom(key);
-      compact->builder->Add(key, input->value());
-      write_us += env_->NowMicros() - t0;
-    }
-
-    {
-      const uint64_t t0 = env_->NowMicros();
-      input->Next();
-      read_us += env_->NowMicros() - t0;
-    }
-  }
-
-  if (status.ok() && shutting_down_.load(std::memory_order_acquire)) {
-    status = Status::IOError("Deleting DB during compaction");
-  }
-  if (status.ok() && compact->builder != nullptr) {
-    const uint64_t t0 = env_->NowMicros();
-    status = FinishCompactionOutputFile(compact, input);
-    write_us += env_->NowMicros() - t0;
-  }
-  if (status.ok()) {
-    status = input->status();
-  }
-  const uint64_t loop_us = env_->NowMicros() - loop_start_us;
-  delete input;
-  input = nullptr;
-  mutex_.lock();
-
-  if (status.ok() && !bg_error_.ok()) {
-    // A concurrent job failed while this compaction ran unlocked; do not
-    // install on top of a suspect manifest state.
-    status = bg_error_;
-  }
-  if (status.ok()) {
+  };
+  plan.on_installed = [&, level](const CompactionJobInfo& info) {
     if (stats_ != nullptr) {
-      stats_->Record(kCompactions);
-      stats_->Record(kCompactionReadBytes,
-                     compact->compaction->TotalInputBytes());
-      stats_->Record(kCompactionWriteBytes, compact->total_bytes);
+      stats_->Record(kLdcFrozenFilesReclaimed, reclaimable.size());
     }
-    const uint64_t install_start_us = env_->NowMicros();
-    status = InstallCompactionResults(compact);
-    const uint64_t install_us = env_->NowMicros() - install_start_us;
-
-    if (status.ok()) {
-      CompactionStats cstats;
-      cstats.micros = env_->NowMicros() - start_us;
-      cstats.read_micros = read_us;
-      cstats.write_micros = write_us;
-      cstats.merge_micros =
-          loop_us > read_us + write_us ? loop_us - read_us - write_us : 0;
-      cstats.install_micros = install_us;
-      cstats.bytes_read_upper = bytes_upper;
-      cstats.bytes_read_lower = bytes_lower;
-      cstats.bytes_written = compact->total_bytes;
-      cstats.count = 1;
-      versions_->AddCompactionStats(info.output_level, cstats);
-
-      info.num_output_files = static_cast<int>(compact->outputs.size());
-      info.bytes_written = compact->total_bytes;
-      info.micros = env_->NowMicros();
-      info.duration_micros = info.micros - start_us;
-      NotifyCompactionEvent(true, info);
-
-      job_span.SetArg2("write_bytes", compact->total_bytes);
-      EmitStageSpans(&job_span, TraceCat::kCompaction, trace_label_.c_str(),
-                     read_us, cstats.merge_micros, write_us);
-      last_unblocker_flow_ = job_span.EmitFlowOut();
-    }
-  }
-  return status;
+    LdcMergeInfo minfo;
+    minfo.db_name = dbname_;
+    minfo.level = level;
+    minfo.lower_file_number = lower_file_number;
+    minfo.num_slices = num_slices;
+    minfo.num_output_files = info.num_output_files;
+    minfo.bytes_read = info.bytes_read;
+    minfo.bytes_written = info.bytes_written;
+    minfo.frozen_files_reclaimed = static_cast<int>(reclaimable.size());
+    minfo.micros = info.micros;
+    minfo.duration_micros = info.duration_micros;
+    NotifyLdcMerge(minfo);
+  };
+  plan.unpin = [base] { base->Unref(); };
+  RunMerge(&plan);
 }
 
 // ---------------------------------------------------------------------------
@@ -3435,15 +2931,7 @@ void DBImpl::TEST_CompactRange(int level, const Slice* begin,
     // Block MaybeScheduleCompaction from launching competing jobs while we
     // run this compaction inline.
     manual_compaction_active_ = true;
-    CompactionState* compact = new CompactionState(c);
-    Status status = DoCompactionWork(compact);
-    if (!status.ok()) {
-      RecordBackgroundError(status);
-    }
-    CleanupCompaction(compact);
-    c->ReleaseInputs();
-    delete c;
-    RemoveObsoleteFiles();
+    DoUdcCompaction(c);
     manual_compaction_active_ = false;
     background_work_finished_signal_.notify_all();
     MaybeScheduleCompaction();

@@ -90,7 +90,7 @@ class DBImpl : public DB {
 
  private:
   friend class DB;
-  struct CompactionState;
+  struct MergePlan;
   struct Writer;
 
   // --- Lock-free read path (see docs/CONCURRENCY.md, "The read path") ---
@@ -193,7 +193,8 @@ class DBImpl : public DB {
   // touch the same file. Version installs, manifest writes, and frozen-file
   // refcount decrements all happen inside VersionSet::LogAndApply with
   // mutex_ held, so they stay serialized no matter how many jobs run.
-  // Three execution regimes share the same job bodies:
+  // Three execution regimes share the same job bodies (a flush, or a merge
+  // planner feeding the merge kernel, RunMerge below):
   //
   //  * Simulation (sim_ != nullptr): jobs are registered on the simulated
   //    device timeline by ScheduleBackgroundWorkSim() and their data work
@@ -226,6 +227,12 @@ class DBImpl : public DB {
   // queue plus the running jobs reach max_background_jobs or no
   // non-conflicting unit remains. Applies UDC trivial moves inline.
   void FillJobQueue() EXCLUSIVE_LOCKS_REQUIRED(mutex_);
+  // UDC, for both schedulers: applies trivial moves (pure metadata) until a
+  // pick needs data work, and returns that compaction. Returns null when
+  // nothing needs compacting, when every candidate is claimed, or once a
+  // background error is set (a failed move leaves the tree unchanged, so
+  // picking again would spin).
+  Compaction* PickUdcCompaction() EXCLUSIVE_LOCKS_REQUIRED(mutex_);
   static void BGWork(void* db);
   void BackgroundCall();
   // Runs one claimed job and releases its claims.
@@ -242,24 +249,25 @@ class DBImpl : public DB {
   // device time has elapsed. Acquires mutex_ itself.
   void RunBackgroundJob(int job_kind, uint64_t arg);
 
-  // UDC: perform the picked compaction's data work and install it.
-  // Holds mutex_ on entry/exit; drops it around the merge I/O.
-  Status DoCompactionWork(CompactionState* compact)
-      EXCLUSIVE_LOCKS_REQUIRED(mutex_);
-  Status OpenCompactionOutputFile(CompactionState* compact);
-  Status FinishCompactionOutputFile(CompactionState* compact, Iterator* input);
-  Status InstallCompactionResults(CompactionState* compact)
-      EXCLUSIVE_LOCKS_REQUIRED(mutex_);
-  void CleanupCompaction(CompactionState* compact)
-      EXCLUSIVE_LOCKS_REQUIRED(mutex_);
-  void BackgroundCompactionUdc(Compaction* c)
-      EXCLUSIVE_LOCKS_REQUIRED(mutex_);
+  // --- Merges -------------------------------------------------------------
+  // One kernel runs the data work of every compaction style: merge-sort
+  // the inputs, keep the newest visible version of each key, drop obsolete
+  // tombstones, cut outputs at user-key boundaries, install the edit, and
+  // report the job to every sink. Each style is a planner that pins its
+  // inputs and fills in a MergePlan with only what differs. Planners and
+  // the kernel hold mutex_ on entry/exit; the kernel drops it around the
+  // merge I/O, and records the background error of a failed merge.
+  void RunMerge(MergePlan* plan) EXCLUSIVE_LOCKS_REQUIRED(mutex_);
+
+  // UDC: merge the picked compaction's level and level+1 inputs into
+  // level+1. Deletes c.
+  void DoUdcCompaction(Compaction* c) EXCLUSIVE_LOCKS_REQUIRED(mutex_);
 
   // Tiered (lazy baseline): find a group of >= fan_out similarly-sized
   // level-0 files; merge them into one bigger level-0 file.
   std::vector<uint64_t> PickTieredGroup(uint64_t* total_bytes)
       EXCLUSIVE_LOCKS_REQUIRED(mutex_);
-  Status DoTieredMerge(const std::vector<uint64_t>& file_numbers)
+  void DoTieredMerge(const std::vector<uint64_t>& file_numbers)
       EXCLUSIVE_LOCKS_REQUIRED(mutex_);
 
   // LDC: the two phases.
@@ -268,9 +276,7 @@ class DBImpl : public DB {
   // Metadata-only and therefore cheap enough to run on the foreground path.
   bool DoLdcLinkWork() EXCLUSIVE_LOCKS_REQUIRED(mutex_);
   // Merge the given lower-level file with all its linked slices.
-  // Holds mutex_ on entry/exit; drops it around the merge I/O.
-  Status DoLdcMerge(uint64_t lower_file_number)
-      EXCLUSIVE_LOCKS_REQUIRED(mutex_);
+  void DoLdcMerge(uint64_t lower_file_number) EXCLUSIVE_LOCKS_REQUIRED(mutex_);
   void EnqueueLdcMerge(uint64_t lower_file_number)
       EXCLUSIVE_LOCKS_REQUIRED(mutex_);
 

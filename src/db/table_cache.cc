@@ -151,14 +151,16 @@ Status TableCache::PinnedGet(const ReadOptions& options, Cache::Handle* handle,
 
 void TableCache::Unpin(Cache::Handle* handle) { cache_->Release(handle); }
 
-void TableCache::WarmTable(uint64_t file_number, uint64_t file_size) {
-  if (options_.block_cache == nullptr) return;
+Status TableCache::WarmTable(uint64_t file_number, uint64_t file_size) {
+  if (options_.block_cache == nullptr) return Status::OK();
   ReadOptions options;
   options.fill_cache = true;
   Iterator* iter = NewIterator(options, file_number, file_size);
   for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
   }
+  Status s = iter->status();
   delete iter;
+  return s;
 }
 
 void TableCache::Evict(uint64_t file_number) {

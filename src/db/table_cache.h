@@ -83,8 +83,10 @@ class TableCache {
   // Loads every data block of the file into the block cache. Called for
   // freshly written tables: on a real system their pages are still in the
   // OS page cache after the write, so immediate reads do not hit the
-  // device. No-op when there is no block cache.
-  void WarmTable(uint64_t file_number, uint64_t file_size);
+  // device. Returns the status of opening and reading the table, so the
+  // warm doubles as the check that a new output is usable. No-op (OK) when
+  // there is no block cache.
+  Status WarmTable(uint64_t file_number, uint64_t file_size);
 
  private:
   Status FindTable(uint64_t file_number, uint64_t file_size, Cache::Handle**);

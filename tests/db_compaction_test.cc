@@ -1,14 +1,29 @@
 // UDC (baseline) compaction behaviour: trivial moves, level invariants,
-// manual compaction, overwrite collapsing, and level-0 trigger behaviour.
+// manual compaction, overwrite collapsing, and level-0 trigger behaviour;
+// plus two rules of the shared merge kernel checked under UDC and LDC with
+// and without the simulator: output cuts fall on user-key boundaries, and a
+// trivial move whose manifest write fails stops the scheduler.
 
+#include <algorithm>
+#include <chrono>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <functional>
+#include <future>
 #include <map>
 #include <memory>
+#include <string>
+#include <thread>
+#include <tuple>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "db/db_impl.h"
 #include "db/version_set.h"
 #include "ldc/db.h"
 #include "ldc/env.h"
+#include "ldc/sim.h"
 #include "ldc/statistics.h"
 #include "util/random.h"
 #include "workload/key_generator.h"
@@ -198,5 +213,252 @@ TEST_F(DBCompactionTest, ReadsDuringHeavyCompactionStillCorrect) {
     }
   }
 }
+
+// --- Output cuts fall on user-key boundaries -------------------------------
+
+// UDC and LDC cut a merge output once it reaches max_file_size, but only
+// where the user key changes, so one user key never spans two files of a
+// level (LDC's responsibility ranges rely on it). A snapshot keeps every
+// version of a few hot keys alive, and each hot key's versions outgrow
+// max_file_size, so the size limit is reached inside a key's run again and
+// again.
+class OutputCutTest
+    : public testing::TestWithParam<std::tuple<CompactionStyle, bool>> {};
+
+TEST_P(OutputCutTest, OneUserKeyNeverSpansTwoFiles) {
+  const CompactionStyle style = std::get<0>(GetParam());
+  const bool use_sim = std::get<1>(GetParam());
+  std::unique_ptr<Env> env(NewMemEnv());
+  SsdModel ssd;
+  SimContext sim(ssd);  // Must outlive the DB (its destructor drains it).
+  Options options;
+  options.env = env.get();
+  options.create_if_missing = true;
+  options.compaction_style = style;
+  options.write_buffer_size = 16 * 1024;
+  options.max_file_size = 16 * 1024;
+  options.level1_max_bytes = 64 * 1024;
+  options.fan_out = 4;
+  if (use_sim) options.sim = &sim;
+  DB* raw = nullptr;
+  ASSERT_TRUE(DB::Open(options, "/db", &raw).ok());
+  std::unique_ptr<DB> db(raw);
+
+  // 400 versions of 100-byte values: about 50 KB per hot key.
+  constexpr int kKeys = 300;
+  constexpr int kVersions = 400;
+  const int hot[] = {40, 150, 260};
+  auto value_of = [](int id, int version) {
+    std::string value;
+    MakeValue(id, version, 100, &value);
+    return value;
+  };
+  std::vector<int> latest(kKeys, 0);
+  for (int id = 0; id < kKeys; id++) {
+    ASSERT_TRUE(db->Put(WriteOptions(), MakeKey(id), value_of(id, 0)).ok());
+  }
+  const Snapshot* snapshot = db->GetSnapshot();
+  for (int v = 1; v <= kVersions; v++) {
+    for (int id : hot) {
+      ASSERT_TRUE(db->Put(WriteOptions(), MakeKey(id), value_of(id, v)).ok());
+      latest[id] = v;
+    }
+    // Other keys interleave with the hot ones in key order.
+    for (int j = 0; j < 2; j++) {
+      const int id = (v * 7 + j * 131) % kKeys;
+      ASSERT_TRUE(db->Put(WriteOptions(), MakeKey(id), value_of(id, v)).ok());
+      latest[id] = v;
+    }
+  }
+  ASSERT_TRUE(db->WaitForIdle().ok());
+
+  VersionSet* versions = static_cast<DBImpl*>(db.get())->TEST_versions();
+  const Comparator* ucmp = versions->icmp()->user_comparator();
+  int neighbours = 0;
+  for (int level = 1; level < versions->NumLevels(); level++) {
+    const std::vector<FileMetaData*>& files =
+        versions->current()->files(level);
+    for (size_t i = 1; i < files.size(); i++) {
+      EXPECT_LT(ucmp->Compare(files[i - 1]->largest.user_key(),
+                              files[i]->smallest.user_key()),
+                0)
+          << "a user key spans two files at level " << level;
+      neighbours++;
+    }
+  }
+  EXPECT_GT(neighbours, 0) << "no level >= 1 holds two files";
+
+  // Point reads (not scans: LDC scans can still resurrect deleted keys).
+  ReadOptions at_snapshot;
+  at_snapshot.snapshot = snapshot;
+  std::string value;
+  for (int id = 0; id < kKeys; id++) {
+    ASSERT_TRUE(db->Get(at_snapshot, MakeKey(id), &value).ok()) << id;
+    EXPECT_EQ(value_of(id, 0), value) << "snapshot read of key " << id;
+    ASSERT_TRUE(db->Get(ReadOptions(), MakeKey(id), &value).ok()) << id;
+    EXPECT_EQ(value_of(id, latest[id]), value) << "read of key " << id;
+  }
+  db->ReleaseSnapshot(snapshot);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Styles, OutputCutTest,
+    testing::Combine(testing::Values(CompactionStyle::kUdc,
+                                     CompactionStyle::kLdc),
+                     testing::Bool()),
+    [](const testing::TestParamInfo<OutputCutTest::ParamType>& info) {
+      return std::string(std::get<0>(info.param) == CompactionStyle::kUdc
+                             ? "Udc"
+                             : "Ldc") +
+             (std::get<1>(info.param) ? "Sim" : "Inline");
+    });
+
+// --- A trivial move whose manifest write fails ------------------------------
+
+// Wraps every MANIFEST file: counts Syncs, fails every one from index
+// `fail_from` on, and notes the kTrivialMoves ticker as each other one
+// starts.
+class ManifestSyncFaultEnv : public EnvWrapper {
+ public:
+  ManifestSyncFaultEnv(Env* target, const Statistics* stats)
+      : EnvWrapper(target), stats_(stats) {}
+
+  Status NewWritableFile(const std::string& f, WritableFile** r) override {
+    return Wrap(f, EnvWrapper::NewWritableFile(f, r), r);
+  }
+  // Hinted creations must hit the same wrapper.
+  Status NewWritableFile(const std::string& f, WriteHint hint,
+                         WritableFile** r) override {
+    return Wrap(f, EnvWrapper::NewWritableFile(f, hint, r), r);
+  }
+
+  size_t syncs = 0;
+  size_t fail_from = SIZE_MAX;
+  std::vector<uint64_t> moves_at_sync;  // One entry per passing Sync.
+
+ private:
+  class File : public WritableFile {
+   public:
+    File(ManifestSyncFaultEnv* env, WritableFile* target)
+        : env_(env), target_(target) {}
+    ~File() override { delete target_; }
+    Status Append(const Slice& data) override {
+      return target_->Append(data);
+    }
+    Status Close() override { return target_->Close(); }
+    Status Flush() override { return target_->Flush(); }
+    Status Sync() override {
+      if (env_->syncs++ >= env_->fail_from) {
+        return Status::IOError("injected MANIFEST sync failure");
+      }
+      env_->moves_at_sync.push_back(env_->stats_->Get(kTrivialMoves));
+      return target_->Sync();
+    }
+
+   private:
+    ManifestSyncFaultEnv* const env_;
+    WritableFile* const target_;
+  };
+
+  Status Wrap(const std::string& f, Status s, WritableFile** r) {
+    if (s.ok() && f.find("MANIFEST") != std::string::npos) {
+      *r = new File(this, *r);
+    }
+    return s;
+  }
+
+  const Statistics* const stats_;
+};
+
+// Runs fn on its own thread. If fn has not returned within `seconds`, fails
+// the test and ends the process: the stuck thread would keep it alive.
+void RunWithWatchdog(int seconds, const std::function<void()>& fn) {
+  std::promise<void> done;
+  std::future<void> finished = done.get_future();
+  std::thread worker([&] {
+    fn();
+    done.set_value();
+  });
+  if (finished.wait_for(std::chrono::seconds(seconds)) !=
+      std::future_status::ready) {
+    ADD_FAILURE() << "did not return within " << seconds << " s";
+    std::fflush(stdout);
+    std::_Exit(1);
+  }
+  worker.join();
+}
+
+// A failed trivial move leaves the tree unchanged, so picking again returns
+// the same move. Both schedulers must stop at the background error instead
+// of retrying it forever, surface the error to writers, and count no move
+// that was not installed. Sequential keys make UDC's first compactions
+// trivial moves. Parameter: run on the simulator.
+class TrivialMoveFaultTest : public testing::TestWithParam<bool> {
+ protected:
+  // Writes sequential keys; returns the first failed Put's status (OK if
+  // all succeed).
+  static Status FillSequential(DB* db) {
+    const std::string value(100, 'v');
+    for (int k = 0; k < 3000; k++) {
+      Status s = db->Put(WriteOptions(), MakeKey(k), value);
+      if (!s.ok()) return s;
+    }
+    return Status::OK();
+  }
+
+  // Opens a UDC DB over `env`, runs FillSequential and closes the DB.
+  Status RunWorkload(Env* env, Statistics* stats) {
+    SsdModel ssd;
+    SimContext sim(ssd);  // Must outlive the DB (its destructor drains it).
+    Options options;
+    options.env = env;
+    options.create_if_missing = true;
+    options.compaction_style = CompactionStyle::kUdc;
+    options.write_buffer_size = 16 * 1024;
+    options.level1_max_bytes = 16 * 1024;
+    options.fan_out = 2;
+    options.statistics = stats;
+    if (GetParam()) options.sim = &sim;
+    DB* raw = nullptr;
+    Status s = DB::Open(options, "/db", &raw);
+    if (!s.ok()) return s;
+    std::unique_ptr<DB> db(raw);
+    return FillSequential(db.get());
+  }
+};
+
+TEST_P(TrivialMoveFaultTest, FailedMoveStopsSchedulingAndIsNotCounted) {
+  // A healthy run finds the MANIFEST sync of the first trivial move: the
+  // last one that starts before the ticker reads 1.
+  size_t move_sync = 0;
+  {
+    std::unique_ptr<Env> mem(NewMemEnv());
+    Statistics stats;
+    ManifestSyncFaultEnv env(mem.get(), &stats);
+    ASSERT_TRUE(RunWorkload(&env, &stats).ok());
+    const auto first_after = std::find_if(
+        env.moves_at_sync.begin(), env.moves_at_sync.end(),
+        [](uint64_t moves) { return moves > 0; });
+    ASSERT_NE(env.moves_at_sync.end(), first_after)
+        << "the workload made no trivial move";
+    move_sync = (first_after - env.moves_at_sync.begin()) - 1;
+  }
+
+  // The same deterministic run, with that sync and every later one failing.
+  std::unique_ptr<Env> mem(NewMemEnv());
+  Statistics stats;
+  ManifestSyncFaultEnv env(mem.get(), &stats);
+  env.fail_from = move_sync;
+  Status s;
+  RunWithWatchdog(30, [&] { s = RunWorkload(&env, &stats); });
+  EXPECT_FALSE(s.ok()) << "no Put reported the failed move";
+  EXPECT_EQ(0u, stats.Get(kTrivialMoves));
+  EXPECT_GT(env.syncs, move_sync);
+}
+
+INSTANTIATE_TEST_SUITE_P(Schedulers, TrivialMoveFaultTest, testing::Bool(),
+                         [](const testing::TestParamInfo<bool>& info) {
+                           return std::string(info.param ? "Sim" : "Inline");
+                         });
 
 }  // namespace ldc

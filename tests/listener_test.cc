@@ -1,13 +1,16 @@
-// Tests of the EventListener callbacks: flushes and UDC compactions fire
-// Begin/Completed pairs in order with real byte counts and durations, LDC
-// links/merges/reclaims report their metadata, write stalls are observed
-// under level-0 pressure, and the info log ends up in the DB directory.
+// Tests of the EventListener callbacks: flushes, UDC compactions and
+// tiered merges fire Begin/Completed pairs in order with real byte counts
+// and durations, LDC links/merges/reclaims report their metadata, every
+// merge reports the same numbers to listeners, tickers and ldc.stats-json,
+// write stalls are observed under level-0 pressure, and the info log ends
+// up in the DB directory.
 
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "json_checker.h"
 #include "ldc/db.h"
 #include "ldc/env.h"
 #include "ldc/listener.h"
@@ -95,6 +98,33 @@ class ListenerTest : public testing::Test {
     db_.reset(raw);
   }
 
+  // Checks that the completed merges the listener saw add up to what the
+  // tickers and the per-level sums of ldc.stats-json report: one emission
+  // point feeds every sink. `job_ticker` counts the style's installed jobs.
+  void ExpectSinksAgree(Ticker job_ticker) {
+    uint64_t listener_bytes = 0;
+    for (const CompactionJobInfo& c : listener_.compactions) {
+      listener_bytes += c.bytes_written;
+    }
+    EXPECT_EQ(stats_.Get(job_ticker), listener_.compactions.size());
+    EXPECT_EQ(stats_.Get(kCompactionWriteBytes), listener_bytes);
+
+    std::string json;
+    ASSERT_TRUE(db_->GetProperty("ldc.stats-json", &json));
+    testjson::JsonValue doc;
+    ASSERT_TRUE(testjson::JsonParser::Parse(json, &doc)) << json;
+    const testjson::JsonValue& levels = doc["levels"];
+    ASSERT_FALSE(levels.array.empty());
+    uint64_t level_bytes = 0;
+    uint64_t level_jobs = 0;
+    for (const testjson::JsonValue& level : levels.array) {
+      level_bytes += static_cast<uint64_t>(level["bytes_written"].number);
+      level_jobs += static_cast<uint64_t>(level["compactions"].number);
+    }
+    EXPECT_EQ(listener_bytes, level_bytes);
+    EXPECT_EQ(listener_.compactions.size(), level_jobs);
+  }
+
   void FillRandom(int n, int key_space) {
     Random rng(301);
     std::string value;
@@ -135,7 +165,6 @@ TEST_F(ListenerTest, FlushAndUdcCompactionEvents) {
   // Compactions: UDC style, downward level step, real bytes and duration.
   ASSERT_GT(listener_.compactions.size(), 0u);
   EXPECT_EQ(listener_.compaction_begin, listener_.compactions.size());
-  uint64_t compaction_write_bytes = 0;
   for (const CompactionJobInfo& c : listener_.compactions) {
     EXPECT_EQ(CompactionStyle::kUdc, c.style);
     EXPECT_EQ(c.input_level + 1, c.output_level);
@@ -144,11 +173,37 @@ TEST_F(ListenerTest, FlushAndUdcCompactionEvents) {
     EXPECT_GT(c.bytes_read, 0u);
     EXPECT_GT(c.bytes_written, 0u);
     EXPECT_GT(c.duration_micros, 0u);
-    compaction_write_bytes += c.bytes_written;
   }
-  EXPECT_EQ(stats_.Get(kCompactionWriteBytes), compaction_write_bytes);
+  ExpectSinksAgree(kCompactions);
 
   // No LDC activity in UDC mode.
+  EXPECT_TRUE(listener_.links.empty());
+  EXPECT_TRUE(listener_.merges.empty());
+}
+
+TEST_F(ListenerTest, TieredMergeEvents) {
+  options_.compaction_style = CompactionStyle::kTiered;
+  Open();
+  FillRandom(6000, 800);
+  ASSERT_TRUE(db_->WaitForIdle().ok());
+
+  // Merges: level 0 into level 0, one uncut output (none if everything in
+  // the group was obsolete), every Completed paired with a Begin.
+  ASSERT_GT(listener_.compactions.size(), 0u);
+  EXPECT_EQ(listener_.compaction_begin, listener_.compactions.size());
+  for (const CompactionJobInfo& c : listener_.compactions) {
+    EXPECT_EQ("/db", c.db_name);
+    EXPECT_EQ(CompactionStyle::kTiered, c.style);
+    EXPECT_EQ(0, c.input_level);
+    EXPECT_EQ(0, c.output_level);
+    EXPECT_GE(c.num_input_files, options_.fan_out);
+    EXPECT_LE(c.num_output_files, 1);
+    EXPECT_GT(c.bytes_read, 0u);
+    EXPECT_GT(c.duration_micros, 0u);
+  }
+  ExpectSinksAgree(kCompactions);
+
+  // Tiered neither links nor merges LDC-style.
   EXPECT_TRUE(listener_.links.empty());
   EXPECT_TRUE(listener_.merges.empty());
 }
@@ -197,6 +252,7 @@ TEST_F(ListenerTest, LdcLinkAndMergeEvents) {
     }
   }
   EXPECT_EQ(listener_.merges.size(), ldc_compactions);
+  ExpectSinksAgree(kLdcMerges);
 
   // Reclaims fired for the frozen files whose last slice was consumed.
   EXPECT_EQ(stats_.Get(kLdcFrozenFilesReclaimed), listener_.reclaims.size());
