@@ -90,8 +90,8 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(kvp.first),
                   registry->LinkCount(kvp.first),
                   registry->LinkedBytes(kvp.first) / 1024.0);
-      for (const SliceLinkMeta& link :
-           registry->LinksNewestFirst(kvp.first)) {
+      for (auto it = kvp.second.rbegin(); it != kvp.second.rend(); ++it) {
+        const SliceLinkMeta& link = *it;
         std::printf("   <- frozen %06llu seq=%llu  [%s .. %s]  ~%.1f KB\n",
                     static_cast<unsigned long long>(link.frozen_file_number),
                     static_cast<unsigned long long>(link.link_seq),

@@ -37,7 +37,7 @@ enum Ticker : uint32_t {
   kBloomChecks,               // bloom filter consultations
   kBloomUseful,               // bloom filters that avoided a table read
   kBloomSkippedTables,        // table probes skipped by the pre-seek filter
-                              // check (read path, Version::Get)
+                              // check (point reads, Version::MultiGet)
 
   // Compaction activity.
   kCompactions,               // UDC compactions and tiered merges installed

@@ -51,49 +51,6 @@ enum BackgroundJobKind {
 constexpr double kMemTableInsertCpuUs = 1.0;
 constexpr double kPointLookupCpuUs = 1.5;
 
-// Forward-only iterator over the internal-key range [smallest, largest]
-// of a wrapped iterator. Used to read one slice of a frozen file during an
-// LDC merge: only the blocks covering the slice are touched.
-class BoundedIterator : public Iterator {
- public:
-  BoundedIterator(const InternalKeyComparator* icmp, Iterator* iter,
-                  const InternalKey& smallest, const InternalKey& largest)
-      : icmp_(icmp),
-        iter_(iter),
-        smallest_(smallest.Encode().ToString()),
-        largest_(largest.Encode().ToString()) {}
-
-  ~BoundedIterator() override { delete iter_; }
-
-  bool Valid() const override {
-    return iter_->Valid() &&
-           icmp_->Compare(iter_->key(), Slice(largest_)) <= 0;
-  }
-  void SeekToFirst() override { iter_->Seek(Slice(smallest_)); }
-  void Seek(const Slice& target) override {
-    if (icmp_->Compare(target, Slice(smallest_)) < 0) {
-      iter_->Seek(Slice(smallest_));
-    } else {
-      iter_->Seek(target);
-    }
-  }
-  void Next() override {
-    assert(Valid());
-    iter_->Next();
-  }
-  void SeekToLast() override { assert(false); }
-  void Prev() override { assert(false); }
-  Slice key() const override { return iter_->key(); }
-  Slice value() const override { return iter_->value(); }
-  Status status() const override { return iter_->status(); }
-
- private:
-  const InternalKeyComparator* const icmp_;
-  Iterator* const iter_;
-  const std::string smallest_;
-  const std::string largest_;
-};
-
 template <class T, class V>
 static void ClipToRange(T* ptr, V minvalue, V maxvalue) {
   if (static_cast<V>(*ptr) > maxvalue) *ptr = maxvalue;
@@ -347,7 +304,8 @@ void DBImpl::RemoveObsoleteFiles() {
   mutex_.lock();
 }
 
-Status DBImpl::Recover(VersionEdit* edit, bool* save_manifest) {
+Status DBImpl::Recover(VersionEdit* edit, bool* save_manifest,
+                       std::vector<FlushJobInfo>* flushes) {
   // Ignore error from CreateDir since the creation of the DB is
   // committed only when the descriptor file is created, and this directory
   // may already exist from a previous failed creation attempt.
@@ -414,7 +372,7 @@ Status DBImpl::Recover(VersionEdit* edit, bool* save_manifest) {
   std::sort(logs.begin(), logs.end());
   for (size_t i = 0; i < logs.size(); i++) {
     s = RecoverLogFile(logs[i], (i == logs.size() - 1), save_manifest, edit,
-                       &max_sequence);
+                       &max_sequence, flushes);
     if (!s.ok()) {
       return s;
     }
@@ -434,7 +392,8 @@ Status DBImpl::Recover(VersionEdit* edit, bool* save_manifest) {
 
 Status DBImpl::RecoverLogFile(uint64_t log_number, bool last_log,
                               bool* save_manifest, VersionEdit* edit,
-                              SequenceNumber* max_sequence) {
+                              SequenceNumber* max_sequence,
+                              std::vector<FlushJobInfo>* flushes) {
   struct LogReporter : public log::Reader::Reporter {
     const char* fname;
     Status* status;  // null if options_.paranoid_checks==false
@@ -494,7 +453,8 @@ Status DBImpl::RecoverLogFile(uint64_t log_number, bool last_log,
     if (mem->ApproximateMemoryUsage() > options_.write_buffer_size) {
       compactions++;
       *save_manifest = true;
-      status = WriteLevel0Table(mem, edit, nullptr);
+      flushes->emplace_back();
+      status = WriteLevel0Table(mem, edit, nullptr, &flushes->back());
       mem->Unref();
       mem = nullptr;
       if (!status.ok()) {
@@ -517,7 +477,8 @@ Status DBImpl::RecoverLogFile(uint64_t log_number, bool last_log,
     // mem did not get reused; compact it.
     if (status.ok()) {
       *save_manifest = true;
-      status = WriteLevel0Table(mem, edit, nullptr);
+      flushes->emplace_back();
+      status = WriteLevel0Table(mem, edit, nullptr, &flushes->back());
     }
     mem->Unref();
   }
@@ -526,7 +487,7 @@ Status DBImpl::RecoverLogFile(uint64_t log_number, bool last_log,
 }
 
 Status DBImpl::WriteLevel0Table(MemTable* mem, VersionEdit* edit,
-                                Version* base) {
+                                Version* base, FlushJobInfo* flushed) {
   FileMetaData meta;
   meta.number = versions_->NewFileNumber();
   pending_outputs_.insert(meta.number);
@@ -565,23 +526,25 @@ Status DBImpl::WriteLevel0Table(MemTable* mem, VersionEdit* edit,
     edit->AddFile(level, meta.number, meta.file_size, meta.smallest,
                   meta.largest);
     const uint64_t duration = env_->NowMicros() - start_us;
-    if (stats_ != nullptr) {
-      stats_->Record(kFlushes);
-      stats_->Record(kFlushWriteBytes, meta.file_size);
-    }
-    versions_->AddFlushStats(meta.file_size, duration);
-
-    FlushJobInfo info;
-    info.db_name = dbname_;
-    info.file_number = meta.number;
-    info.bytes_written = meta.file_size;
-    info.output_level = level;
-    info.micros = env_->NowMicros();
-    info.duration_micros = duration;
-    NotifyFlushEvent(true, info);
+    flushed->db_name = dbname_;
+    flushed->file_number = meta.number;
+    flushed->bytes_written = meta.file_size;
+    flushed->output_level = level;
+    flushed->micros = env_->NowMicros();
+    flushed->duration_micros = duration;
   }
 
   return s;
+}
+
+void DBImpl::ReportFlush(const FlushJobInfo& info) {
+  if (info.bytes_written == 0) return;  // No table was written.
+  if (stats_ != nullptr) {
+    stats_->Record(kFlushes);
+    stats_->Record(kFlushWriteBytes, info.bytes_written);
+  }
+  versions_->AddFlushStats(info.bytes_written, info.duration_micros);
+  NotifyFlushEvent(true, info);
 }
 
 Status DBImpl::CompactMemTable() {
@@ -598,7 +561,8 @@ Status DBImpl::CompactMemTable() {
   VersionEdit edit;
   Version* base = versions_->current();
   base->Ref();
-  Status s = WriteLevel0Table(imm_, &edit, base);
+  FlushJobInfo flushed;
+  Status s = WriteLevel0Table(imm_, &edit, base, &flushed);
   base->Unref();
 
   if (s.ok() && shutting_down_.load(std::memory_order_acquire)) {
@@ -618,6 +582,7 @@ Status DBImpl::CompactMemTable() {
     imm_ = nullptr;
     has_imm_.store(false, std::memory_order_release);
     PublishReadState();  // imm_ and current version both changed.
+    ReportFlush(flushed);
     // Freeing imm_ is what clears memtable-limit stalls: expose this span's
     // flow id so a woken writer's stall span can point back at it.
     last_unblocker_flow_ = span.EmitFlowOut();
@@ -1933,43 +1898,31 @@ void DBImpl::DoLdcMerge(uint64_t lower_file_number) {
     return;  // The file is gone (stale trigger); nothing to merge.
   }
 
-  // Pin the link state alongside the version: the maps behind this snapshot
-  // are immutable, so the slice metadata stays valid while the merge loop
-  // runs with the lock released. Concurrent link work may run while this
-  // merge is unlocked, but DoLdcLinkWork defers any plan that would attach
-  // a slice to this lower file (it is claimed in merges_in_flight_), so the
-  // live registry's links for this file and this snapshot agree until the
-  // install consumes them.
-  std::shared_ptr<const LdcLinkState> link_state =
-      versions_->registry()->snapshot();
+  // The pinned version carries the link state it was installed with; its
+  // maps are immutable, so the slice metadata stays valid while the merge
+  // loop runs with the lock released. Concurrent link work may run while
+  // this merge is unlocked, but DoLdcLinkWork defers any plan that would
+  // attach a slice to this lower file (it is claimed in merges_in_flight_),
+  // so the live registry's links for this file and this snapshot agree
+  // until the install consumes them.
   const std::vector<SliceLinkMeta>* links =
-      link_state->Links(lower_file_number);
+      base->links().Links(lower_file_number);
   if (links == nullptr || links->empty()) return;
   base->Ref();
 
-  ReadOptions read_options;
-  read_options.verify_checksums = options_.paranoid_checks;
-  read_options.fill_cache = false;
-
-  // Assemble the merge inputs: the lower file plus every linked slice,
-  // each slice restricted to its key range so only its blocks are read.
-  std::vector<Iterator*> inputs;
-  inputs.push_back(table_cache_->NewIterator(read_options, lower->number,
-                                             lower->file_size));
   uint64_t slice_bytes = 0;
   for (const SliceLinkMeta& link : *links) {
-    const FrozenFileMeta* frozen = link_state->Frozen(link.frozen_file_number);
-    assert(frozen != nullptr);
-    if (frozen == nullptr) continue;
-    Iterator* raw = table_cache_->NewIterator(read_options, frozen->number,
-                                              frozen->file_size);
-    inputs.push_back(new BoundedIterator(&internal_comparator_, raw,
-                                         link.smallest, link.largest));
     slice_bytes += link.estimated_bytes;
   }
   const int num_slices = static_cast<int>(links->size());
-  Iterator* input = NewMergingIterator(&internal_comparator_, inputs.data(),
-                                       static_cast<int>(inputs.size()));
+
+  // The merge input is the lower file's read group: the file plus every
+  // linked slice, each slice restricted to its key range so only its
+  // blocks are read.
+  ReadOptions read_options;
+  read_options.verify_checksums = options_.paranoid_checks;
+  read_options.fill_cache = false;
+  Iterator* input = base->NewGroupIterator(read_options, lower);
 
   // Tombstones can be dropped only if no level below this one holds data.
   bool is_bottom = true;
@@ -2197,7 +2150,7 @@ std::vector<Status> DBImpl::MultiGet(const ReadOptions& options,
                 return ucmp->Compare(a->key->user_key(),
                                      b->key->user_key()) < 0;
               });
-    state->version->MultiGet(options, &unresolved);
+    state->version->MultiGet(options, unresolved.data(), unresolved.size());
     for (const GetRequest* r : unresolved) {
       if (r->status.ok()) perf->version_hits++;
     }
@@ -3021,7 +2974,8 @@ Status DB::Open(const Options& options, const std::string& dbname, DB** dbptr) {
   VersionEdit edit;
   // Recover handles create_if_missing, error_if_exists
   bool save_manifest = false;
-  Status s = impl->Recover(&edit, &save_manifest);
+  std::vector<FlushJobInfo> flushes;
+  Status s = impl->Recover(&edit, &save_manifest, &flushes);
   if (s.ok() && impl->mem_ == nullptr) {
     // Create new log and a corresponding memtable.
     uint64_t new_log_number = impl->versions_->NewFileNumber();
@@ -3043,6 +2997,8 @@ Status DB::Open(const Options& options, const std::string& dbname, DB** dbptr) {
     s = impl->versions_->LogAndApply(&edit);
   }
   if (s.ok()) {
+    // The recovered memtables' flushes count once their tables are live.
+    for (const FlushJobInfo& info : flushes) impl->ReportFlush(info);
     impl->RemoveObsoleteFiles();
     // Register the reclaim observer only now: during manifest recovery the
     // registry replays historical RemoveFrozenFile records, which must not

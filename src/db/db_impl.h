@@ -154,7 +154,10 @@ class DBImpl : public DB {
 
   // Recover the descriptor from persistent storage. May do a significant
   // amount of work to recover recently logged updates.
-  Status Recover(VersionEdit* edit, bool* save_manifest)
+  // The tables flushed from recovered logs are appended to *flushes, to be
+  // reported once the caller installs *edit.
+  Status Recover(VersionEdit* edit, bool* save_manifest,
+                 std::vector<FlushJobInfo>* flushes)
       EXCLUSIVE_LOCKS_REQUIRED(mutex_);
 
   // Delete any unneeded files and stale in-memory entries. Drops the lock
@@ -162,11 +165,20 @@ class DBImpl : public DB {
   void RemoveObsoleteFiles() EXCLUSIVE_LOCKS_REQUIRED(mutex_);
 
   Status RecoverLogFile(uint64_t log_number, bool last_log, bool* save_manifest,
-                        VersionEdit* edit, SequenceNumber* max_sequence)
+                        VersionEdit* edit, SequenceNumber* max_sequence,
+                        std::vector<FlushJobInfo>* flushes)
       EXCLUSIVE_LOCKS_REQUIRED(mutex_);
 
-  Status WriteLevel0Table(MemTable* mem, VersionEdit* edit, Version* base)
+  // Writes *mem to a level-0 table and adds it to *edit. Fills *flushed
+  // for ReportFlush (bytes_written stays 0 when no table was written);
+  // nothing is counted or reported before the caller installs *edit.
+  Status WriteLevel0Table(MemTable* mem, VersionEdit* edit, Version* base,
+                          FlushJobInfo* flushed)
       EXCLUSIVE_LOCKS_REQUIRED(mutex_);
+
+  // Counts one installed flush in every sink: the flush tickers, the flush
+  // stats of ldc.stats-json, the listeners and the info log.
+  void ReportFlush(const FlushJobInfo& info) EXCLUSIVE_LOCKS_REQUIRED(mutex_);
 
   // REQUIRES: mutex_ held; this thread is currently at the front of the
   // writer queue. May release and re-acquire the mutex (slowdown sleeps and

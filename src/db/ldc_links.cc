@@ -1,6 +1,5 @@
 #include "db/ldc_links.h"
 
-#include <algorithm>
 #include <cassert>
 
 namespace ldc {
@@ -80,19 +79,6 @@ uint64_t LdcLinkState::LinkedBytes(uint64_t lower_file_number) const {
     total += link.estimated_bytes;
   }
   return total;
-}
-
-std::vector<SliceLinkMeta> LdcLinkState::LinksNewestFirst(
-    uint64_t lower_file_number) const {
-  std::vector<SliceLinkMeta> result;
-  auto it = links.find(lower_file_number);
-  if (it == links.end()) return result;
-  result = it->second;
-  std::sort(result.begin(), result.end(),
-            [](const SliceLinkMeta& a, const SliceLinkMeta& b) {
-              return a.link_seq > b.link_seq;
-            });
-  return result;
 }
 
 const std::vector<SliceLinkMeta>* LdcLinkState::Links(

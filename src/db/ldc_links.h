@@ -45,13 +45,9 @@ struct LdcLinkState {
   // Sum of the estimated bytes of all slices linked to the file.
   uint64_t LinkedBytes(uint64_t lower_file_number) const;
 
-  // The slices linked to `lower_file_number`, ordered newest link first
-  // (descending link_seq) — the read-priority order (paper §III-B3).
-  // Returns an empty vector when there are none.
-  std::vector<SliceLinkMeta> LinksNewestFirst(uint64_t lower_file_number) const;
-
-  // All links attached to `lower_file_number` in link order (oldest first),
-  // or nullptr.
+  // All links attached to `lower_file_number` in link order (ascending
+  // link_seq, oldest first), or nullptr. Walked backwards, newest link
+  // first, it gives the read-priority order (paper §III-B3).
   const std::vector<SliceLinkMeta>* Links(uint64_t lower_file_number) const;
 
   // Frozen-file lookup; nullptr if not frozen.
@@ -112,9 +108,6 @@ class LdcLinkRegistry {
   bool HasLinks(uint64_t n) const { return state_->HasLinks(n); }
   int LinkCount(uint64_t n) const { return state_->LinkCount(n); }
   uint64_t LinkedBytes(uint64_t n) const { return state_->LinkedBytes(n); }
-  std::vector<SliceLinkMeta> LinksNewestFirst(uint64_t n) const {
-    return state_->LinksNewestFirst(n);
-  }
   const std::vector<SliceLinkMeta>* Links(uint64_t n) const {
     return state_->Links(n);
   }

@@ -101,34 +101,6 @@ Iterator* TableCache::NewIterator(const ReadOptions& options,
   return result;
 }
 
-Status TableCache::Get(const ReadOptions& options, uint64_t file_number,
-                       uint64_t file_size, const Slice& k, void* arg,
-                       void (*handle_result)(void*, const Slice&,
-                                             const Slice&),
-                       bool check_filter) {
-  Cache::Handle* handle = nullptr;
-  Status s = FindTable(file_number, file_size, &handle);
-  if (s.ok()) {
-    Table* t = reinterpret_cast<TableAndFile*>(cache_->Value(handle))->table;
-    s = t->InternalGet(options, k, arg, handle_result, check_filter);
-    cache_->Release(handle);
-  }
-  return s;
-}
-
-bool TableCache::KeyMayMatch(uint64_t file_number, uint64_t file_size,
-                             const Slice& k) {
-  Cache::Handle* handle = nullptr;
-  Status s = FindTable(file_number, file_size, &handle);
-  if (!s.ok()) {
-    return true;  // Cannot tell; let the subsequent Get report the error.
-  }
-  Table* t = reinterpret_cast<TableAndFile*>(cache_->Value(handle))->table;
-  const bool may_match = t->KeyMayMatch(k);
-  cache_->Release(handle);
-  return may_match;
-}
-
 Status TableCache::PinTable(uint64_t file_number, uint64_t file_size,
                             Cache::Handle** handle) {
   *handle = nullptr;
@@ -143,10 +115,9 @@ bool TableCache::PinnedKeyMayMatch(Cache::Handle* handle, const Slice& k) {
 Status TableCache::PinnedGet(const ReadOptions& options, Cache::Handle* handle,
                              const Slice& k, void* arg,
                              void (*handle_result)(void*, const Slice&,
-                                                   const Slice&),
-                             bool check_filter) {
+                                                   const Slice&)) {
   Table* t = reinterpret_cast<TableAndFile*>(cache_->Value(handle))->table;
-  return t->InternalGet(options, k, arg, handle_result, check_filter);
+  return t->InternalGet(options, k, arg, handle_result);
 }
 
 void TableCache::Unpin(Cache::Handle* handle) { cache_->Release(handle); }

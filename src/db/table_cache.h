@@ -39,22 +39,9 @@ class TableCache {
   Iterator* NewIterator(const ReadOptions& options, uint64_t file_number,
                         uint64_t file_size, Table** tableptr = nullptr);
 
-  // If a seek to internal key "k" in specified file finds an entry,
-  // call (*handle_result)(arg, found_key, found_value). Pass
-  // check_filter=false when KeyMayMatch was already consulted for "k".
-  Status Get(const ReadOptions& options, uint64_t file_number,
-             uint64_t file_size, const Slice& k, void* arg,
-             void (*handle_result)(void*, const Slice&, const Slice&),
-             bool check_filter = true);
-
-  // Returns false iff the table's filter guarantees internal key "k" is
-  // absent, touching only the cached index/filter blocks (no data-block
-  // I/O). Returns true on any error (the subsequent Get surfaces it).
-  bool KeyMayMatch(uint64_t file_number, uint64_t file_size, const Slice& k);
-
-  // --- Pinned-handle batch API (MultiGet) ---
+  // --- Pinned-handle point lookups (Get and MultiGet) ---
   //
-  // A MultiGet batch probing several keys in the same table pays the
+  // A lookup batch probing several keys in the same table pays the
   // cache hash lookup once: PinTable resolves the handle, the Pinned*
   // calls reuse it, and Unpin releases it. The handle pins the open
   // table (and its file) for exactly that window.
@@ -64,15 +51,17 @@ class TableCache {
   Status PinTable(uint64_t file_number, uint64_t file_size,
                   Cache::Handle** handle);
 
-  // KeyMayMatch through an already-pinned handle.
+  // Returns false iff the pinned table's filter guarantees internal key
+  // "k" is absent, touching only the cached index/filter blocks (no
+  // data-block I/O).
   bool PinnedKeyMayMatch(Cache::Handle* handle, const Slice& k);
 
-  // Get through an already-pinned handle. Pass check_filter=false when
-  // PinnedKeyMayMatch was already consulted for "k".
+  // If a seek to internal key "k" in the pinned table finds an entry, call
+  // (*handle_result)(arg, found_key, found_value). Does not consult the
+  // filter: callers screen "k" with PinnedKeyMayMatch first.
   Status PinnedGet(const ReadOptions& options, Cache::Handle* handle,
                    const Slice& k, void* arg,
-                   void (*handle_result)(void*, const Slice&, const Slice&),
-                   bool check_filter = true);
+                   void (*handle_result)(void*, const Slice&, const Slice&));
 
   // Release a handle returned by PinTable.
   void Unpin(Cache::Handle* handle);

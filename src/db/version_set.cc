@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 
 #include "db/filename.h"
 #include "db/table_cache.h"
@@ -12,7 +13,6 @@
 #include "ldc/statistics.h"
 #include "table/merger.h"
 #include "table/two_level_iterator.h"
-#include "util/coding.h"
 #include "util/logging.h"
 #include "wal/log_reader.h"
 #include "wal/log_writer.h"
@@ -118,20 +118,26 @@ bool SomeFileOverlapsRange(const InternalKeyComparator& icmp,
   return !BeforeFile(ucmp, largest_user_key, files[index]);
 }
 
-// An internal iterator. For a given version/level pair, yields
-// information about the files in the level. For a given entry, key()
-// is the largest key that occurs in the file, and value() is an
-// 16-byte value containing the file number and file size, both
-// encoded using EncodeFixed64.
+// An internal iterator over the files of one level, whose values name the
+// files for a concatenating iterator of read groups (NewGroupIterator). For
+// a given entry, key() is the largest key that occurs in the file, and
+// value() holds the address of its FileMetaData. When `last_owns_tail` is
+// set, a Seek past the last file's largest key lands on the last file: its
+// linked slices own the key space above that key.
 class Version::LevelFileNumIterator : public Iterator {
  public:
   LevelFileNumIterator(const InternalKeyComparator& icmp,
-                       const std::vector<FileMetaData*>* flist)
-      : icmp_(icmp), flist_(flist), index_(flist->size()) {  // Marks as invalid
+                       const std::vector<FileMetaData*>* flist,
+                       bool last_owns_tail)
+      : icmp_(icmp),
+        flist_(flist),
+        last_owns_tail_(last_owns_tail),
+        index_(flist->size()) {  // Marks as invalid
   }
   bool Valid() const override { return index_ < flist_->size(); }
   void Seek(const Slice& target) override {
     index_ = FindFile(icmp_, *flist_, target);
+    if (index_ == flist_->size() && last_owns_tail_) index_--;
   }
   void SeekToFirst() override { index_ = 0; }
   void SeekToLast() override {
@@ -155,8 +161,8 @@ class Version::LevelFileNumIterator : public Iterator {
   }
   Slice value() const override {
     assert(Valid());
-    EncodeFixed64(value_buf_, (*flist_)[index_]->number);
-    EncodeFixed64(value_buf_ + 8, (*flist_)[index_]->file_size);
+    const FileMetaData* f = (*flist_)[index_];
+    std::memcpy(value_buf_, &f, sizeof(f));
     return Slice(value_buf_, sizeof(value_buf_));
   }
   Status status() const override { return Status::OK(); }
@@ -164,141 +170,130 @@ class Version::LevelFileNumIterator : public Iterator {
  private:
   const InternalKeyComparator icmp_;
   const std::vector<FileMetaData*>* const flist_;
+  const bool last_owns_tail_;
   uint32_t index_;
 
-  // Backing store for value(). Holds the file number and size.
-  mutable char value_buf_[16];
+  // Backing store for value(). Holds the FileMetaData address.
+  mutable char value_buf_[sizeof(FileMetaData*)];
 };
 
-// A lazily-opened iterator over one frozen file, used for merged scans.
-// Uses the file's metadata bounds to avoid touching the table at all when a
-// Seek lands past its range, and to defer the first block read until the
-// scan actually consumes the file's smallest key — the file's smallest key
-// is a *real* entry, so exposing it synthetically before materialization
-// preserves merging-iterator invariants.
-class LazyFrozenIterator : public Iterator {
+namespace {
+
+// An iterator over the internal-key range [smallest, largest] of a wrapped
+// iterator: one slice of a frozen file. Only the blocks covering the slice
+// are read. Each move checks only the bound it moves toward (a step
+// forward cannot cross `smallest`, a step back cannot cross `largest`), so
+// a forward pass costs one comparison per entry.
+class BoundedIterator : public Iterator {
  public:
-  LazyFrozenIterator(TableCache* cache, const ReadOptions& options,
-                     const InternalKeyComparator* icmp,
-                     const FrozenFileMeta& meta)
-      : cache_(cache),
-        options_(options),
-        icmp_(icmp),
-        number_(meta.number),
-        file_size_(meta.file_size),
-        smallest_(meta.smallest.Encode().ToString()),
-        largest_(meta.largest.Encode().ToString()) {}
+  BoundedIterator(const InternalKeyComparator* icmp, Iterator* iter,
+                  const InternalKey& smallest, const InternalKey& largest)
+      : icmp_(icmp),
+        iter_(iter),
+        smallest_(smallest.Encode().ToString()),
+        largest_(largest.Encode().ToString()) {}
 
-  ~LazyFrozenIterator() override { delete iter_; }
+  ~BoundedIterator() override { delete iter_; }
 
-  bool Valid() const override {
-    if (state_ == kSynthetic) return true;
-    if (state_ == kInvalid) return false;
-    return iter_ != nullptr && iter_->Valid();
+  bool Valid() const override { return valid_; }
+  void SeekToFirst() override {
+    iter_->Seek(smallest_);
+    CheckUpper();
   }
-
-  void SeekToFirst() override { state_ = kSynthetic; }
-
-  void Seek(const Slice& target) override {
-    if (icmp_->Compare(target, Slice(largest_)) > 0) {
-      // Entirely past this file: no I/O.
-      state_ = kInvalid;
-      return;
-    }
-    if (icmp_->Compare(target, Slice(smallest_)) <= 0) {
-      // Starts at/before this file: expose the known first key without
-      // reading anything yet.
-      state_ = kSynthetic;
-      return;
-    }
-    Materialize();
-    iter_->Seek(target);
-  }
-
   void SeekToLast() override {
-    Materialize();
-    iter_->SeekToLast();
+    iter_->Seek(largest_);
+    if (!iter_->Valid()) {
+      iter_->SeekToLast();
+    } else if (icmp_->Compare(iter_->key(), Slice(largest_)) > 0) {
+      iter_->Prev();
+    }
+    CheckLower();
   }
-
+  void Seek(const Slice& target) override {
+    if (icmp_->Compare(target, Slice(smallest_)) < 0) {
+      iter_->Seek(smallest_);
+    } else {
+      iter_->Seek(target);
+    }
+    CheckUpper();
+  }
   void Next() override {
     assert(Valid());
-    if (state_ == kSynthetic) {
-      Materialize();
-      // iter_ is positioned at the smallest key; advance past it.
-    }
     iter_->Next();
+    CheckUpper();
   }
-
   void Prev() override {
     assert(Valid());
-    if (state_ == kSynthetic) {
-      Materialize();
-    }
     iter_->Prev();
+    CheckLower();
   }
-
   Slice key() const override {
     assert(Valid());
-    if (state_ == kSynthetic) return Slice(smallest_);
     return iter_->key();
   }
-
   Slice value() const override {
     assert(Valid());
-    if (state_ == kSynthetic) {
-      const_cast<LazyFrozenIterator*>(this)->Materialize();
-    }
     return iter_->value();
   }
-
-  Status status() const override {
-    if (iter_ == nullptr) return Status::OK();
-    return iter_->status();
-  }
+  Status status() const override { return iter_->status(); }
 
  private:
-  enum State { kInvalid, kSynthetic, kMaterialized };
-
-  void Materialize() {
-    if (iter_ == nullptr) {
-      iter_ = cache_->NewIterator(options_, number_, file_size_);
-    }
-    if (state_ == kSynthetic) {
-      iter_->Seek(Slice(smallest_));
-      assert(!iter_->Valid() ||
-             icmp_->Compare(iter_->key(), Slice(smallest_)) == 0);
-    }
-    state_ = kMaterialized;
+  void CheckUpper() {
+    valid_ = iter_->Valid() &&
+             icmp_->Compare(iter_->key(), Slice(largest_)) <= 0;
+  }
+  void CheckLower() {
+    valid_ = iter_->Valid() &&
+             icmp_->Compare(iter_->key(), Slice(smallest_)) >= 0;
   }
 
-  TableCache* const cache_;
-  const ReadOptions options_;
   const InternalKeyComparator* const icmp_;
-  const uint64_t number_;
-  const uint64_t file_size_;
+  Iterator* const iter_;
   const std::string smallest_;
   const std::string largest_;
-  State state_ = kInvalid;
-  Iterator* iter_ = nullptr;
+  bool valid_ = false;
 };
 
-static Iterator* GetFileIterator(void* arg, const ReadOptions& options,
-                                 const Slice& file_value) {
-  TableCache* cache = reinterpret_cast<TableCache*>(arg);
-  if (file_value.size() != 16) {
-    return NewErrorIterator(
-        Status::Corruption("FileReader invoked with unexpected value"));
-  } else {
-    return cache->NewIterator(options, DecodeFixed64(file_value.data()),
-                              DecodeFixed64(file_value.data() + 8));
-  }
+}  // namespace
+
+static Iterator* GetGroupIterator(void* arg, const ReadOptions& options,
+                                  const Slice& file_value) {
+  const FileMetaData* f;
+  assert(file_value.size() == sizeof(f));
+  std::memcpy(&f, file_value.data(), sizeof(f));
+  return reinterpret_cast<const Version*>(arg)->NewGroupIterator(options, f);
 }
 
-Iterator* Version::NewConcatenatingIterator(const ReadOptions& options,
-                                            int level) const {
+Iterator* Version::NewGroupIterator(const ReadOptions& options,
+                                    const FileMetaData* f) const {
+  TableCache* cache = vset_->table_cache_;
+  Iterator* lower = cache->NewIterator(options, f->number, f->file_size);
+  const LdcLinkState& link_state = links();
+  const std::vector<SliceLinkMeta>* slices = link_state.Links(f->number);
+  if (slices == nullptr) return lower;
+  std::vector<Iterator*> sources;
+  sources.reserve(1 + slices->size());
+  sources.push_back(lower);
+  for (const SliceLinkMeta& link : *slices) {
+    const FrozenFileMeta* frozen = link_state.Frozen(link.frozen_file_number);
+    assert(frozen != nullptr);
+    if (frozen == nullptr) continue;
+    sources.push_back(new BoundedIterator(
+        &vset_->icmp_,
+        cache->NewIterator(options, frozen->number, frozen->file_size),
+        link.smallest, link.largest));
+  }
+  return NewMergingIterator(&vset_->icmp_, sources.data(),
+                            static_cast<int>(sources.size()));
+}
+
+Iterator* Version::NewConcatenatingIterator(
+    const ReadOptions& options,
+    const std::vector<FileMetaData*>* files) const {
+  const bool last_owns_tail = links().HasLinks(files->back()->number);
   return NewTwoLevelIterator(
-      new LevelFileNumIterator(vset_->icmp_, &files_[level]), &GetFileIterator,
-      vset_->table_cache_, options);
+      new LevelFileNumIterator(vset_->icmp_, files, last_owns_tail),
+      &GetGroupIterator, const_cast<Version*>(this), options);
 }
 
 void Version::AddIterators(const ReadOptions& options,
@@ -309,27 +304,16 @@ void Version::AddIterators(const ReadOptions& options,
         options, files_[0][i]->number, files_[0][i]->file_size));
   }
 
-  // For levels > 0, we can use a concatenating iterator that sequentially
-  // walks through the non-overlapping files in the level, opening them
-  // lazily.
+  // For levels > 0, a concatenating iterator walks the level's read groups
+  // in key order, opening each one lazily. Every entry of a group lies in
+  // its file's responsibility range, so the groups never overlap.
   for (int level = 1; level < vset_->num_levels_; level++) {
     if (!files_[level].empty()) {
-      iters->push_back(NewConcatenatingIterator(options, level));
+      iters->push_back(NewConcatenatingIterator(options, &files_[level]));
     }
-  }
-
-  // Under LDC, frozen files hold data that has logically moved down but has
-  // not been merged yet. Their entries carry sequence numbers, so exposing
-  // each frozen file as one more source keeps merged iteration correct
-  // (newer versions win inside DBIter).
-  for (const auto& kvp : links().frozen) {
-    const FrozenFileMeta& frozen = kvp.second;
-    iters->push_back(new LazyFrozenIterator(vset_->table_cache_, options,
-                                            &vset_->icmp_, frozen));
   }
 }
 
-// Callback from TableCache::Get()
 namespace {
 
 enum SaverState {
@@ -346,12 +330,10 @@ struct Saver {
   SequenceNumber seq;  // Sequence number of the recorded entry.
 };
 
-}  // namespace
-
 // Keeps the newest version among all sources probed so far. This makes
-// slice-group reads (lower-level file + its linked slices) independent of
+// read-group probes (lower-level file + its linked slices) independent of
 // probe order.
-static void SaveValue(void* arg, const Slice& ikey, const Slice& v) {
+void SaveValue(void* arg, const Slice& ikey, const Slice& v) {
   Saver* s = reinterpret_cast<Saver*>(arg);
   ParsedInternalKey parsed_key;
   if (!ParseInternalKey(ikey, &parsed_key)) {
@@ -370,261 +352,55 @@ static void SaveValue(void* arg, const Slice& ikey, const Slice& v) {
   }
 }
 
-static bool NewestFirst(FileMetaData* a, FileMetaData* b) {
+bool NewestFirst(FileMetaData* a, FileMetaData* b) {
   return a->number > b->number;
 }
 
-bool Version::SearchFileGroup(const ReadOptions& options, FileMetaData* f,
-                              const LookupKey& k, std::string* value,
-                              Status* s) {
-  const Comparator* ucmp = vset_->icmp_.user_comparator();
-  const Slice user_key = k.user_key();
-  const Slice ikey = k.internal_key();
-  Statistics* stats = vset_->options_->statistics;
-
-  Saver saver;
-  saver.state = kNotFound;
-  saver.ucmp = ucmp;
-  saver.user_key = user_key;
-  saver.value = value;
-  saver.seq = 0;
-
-  // Probe the linked slices first (they are strictly newer than *f); the
-  // per-table bloom filters suppress most of the extra reads (paper §III-C).
-  // Link state comes from this version's immutable snapshot, so a merge
-  // consuming the links concurrently cannot hide slice data from us.
-  const LdcLinkState& link_state = links();
-  if (link_state.HasLinks(f->number)) {
-    for (const SliceLinkMeta& link :
-         link_state.LinksNewestFirst(f->number)) {
-      if (ucmp->Compare(user_key, link.smallest.user_key()) < 0 ||
-          ucmp->Compare(user_key, link.largest.user_key()) > 0) {
-        continue;
-      }
-      const FrozenFileMeta* frozen =
-          link_state.Frozen(link.frozen_file_number);
-      assert(frozen != nullptr);
-      if (frozen == nullptr) continue;
-      if (stats != nullptr) stats->Record(kSliceSourcesChecked);
-      GetPerfContext()->slice_sources_checked++;
-      // Consult the frozen file's bloom filter before the full table seek:
-      // slice fan-out (and, above this, shard fan-out) multiplies the
-      // number of candidate tables per Get, so skipping definite misses
-      // here is what keeps the read path flat as both grow.
-      if (!vset_->table_cache_->KeyMayMatch(frozen->number, frozen->file_size,
-                                            ikey)) {
-        if (stats != nullptr) stats->Record(kBloomSkippedTables);
-        GetPerfContext()->bloom_skipped_tables++;
-        continue;
-      }
-      Status read_status =
-          vset_->table_cache_->Get(options, frozen->number, frozen->file_size,
-                                   ikey, &saver, SaveValue,
-                                   /*check_filter=*/false);
-      if (!read_status.ok()) {
-        *s = read_status;
-        return true;
-      }
+// Probes a run of sorted requests against the tables of one level: all of
+// level 0, or one read group. Each table is pinned once for every request
+// whose key lies in its range, and its bloom filter screens each key before
+// the data-block seek.
+class BatchProbe {
+ public:
+  BatchProbe(const ReadOptions& options, TableCache* cache,
+             const Comparator* ucmp, Statistics* stats, GetRequest** reqs,
+             Saver* savers, size_t n)
+      : options_(options),
+        cache_(cache),
+        ucmp_(ucmp),
+        stats_(stats),
+        reqs_(reqs),
+        savers_(savers),
+        n_(n) {
+    for (size_t i = 0; i < n; i++) {
+      savers[i].state = kNotFound;
+      savers[i].ucmp = ucmp;
+      savers[i].user_key = reqs[i]->key->user_key();
+      savers[i].value = reqs[i]->value;
+      savers[i].seq = 0;
     }
   }
 
-  // Probe the file itself, unless the key cannot be in its data range or
-  // its filter proves the key absent.
-  if (ucmp->Compare(user_key, f->smallest.user_key()) >= 0 &&
-      ucmp->Compare(user_key, f->largest.user_key()) <= 0) {
-    if (!vset_->table_cache_->KeyMayMatch(f->number, f->file_size, ikey)) {
-      if (stats != nullptr) stats->Record(kBloomSkippedTables);
-      GetPerfContext()->bloom_skipped_tables++;
-    } else {
-      Status read_status = vset_->table_cache_->Get(options, f->number,
-                                                    f->file_size, ikey, &saver,
-                                                    SaveValue,
-                                                    /*check_filter=*/false);
-      if (!read_status.ok()) {
-        *s = read_status;
-        return true;
-      }
-    }
-  }
-
-  switch (saver.state) {
-    case kNotFound:
-      return false;
-    case kFound:
-      *s = Status::OK();
-      return true;
-    case kDeleted:
-      *s = Status::NotFound(Slice());
-      return true;
-    case kCorrupt:
-      *s = Status::Corruption("corrupted key for ", user_key);
-      return true;
-  }
-  return false;
-}
-
-Status Version::Get(const ReadOptions& options, const LookupKey& k,
-                    std::string* value) {
-  const Comparator* ucmp = vset_->icmp_.user_comparator();
-  const Slice user_key = k.user_key();
-  const Slice ikey = k.internal_key();
-  Status s = Status::NotFound(Slice());
-  Statistics* stats = vset_->options_->statistics;
-  if (stats != nullptr) stats->Record(kGets);
-
-  // Level-0 files may overlap each other, and under tiered compaction a
-  // freshly merged file carries *older* data than a smaller file number, so
-  // file-number order is not version order. Probe every overlapping file
-  // and let the sequence numbers decide (bloom filters screen the misses).
-  {
-    Saver saver;
-    saver.state = kNotFound;
-    saver.ucmp = ucmp;
-    saver.user_key = user_key;
-    saver.value = value;
-    saver.seq = 0;
-    std::vector<FileMetaData*> tmp;
-    tmp.reserve(files_[0].size());
-    for (FileMetaData* f : files_[0]) {
-      if (ucmp->Compare(user_key, f->smallest.user_key()) >= 0 &&
-          ucmp->Compare(user_key, f->largest.user_key()) <= 0) {
-        tmp.push_back(f);
-      }
-    }
-    std::sort(tmp.begin(), tmp.end(), NewestFirst);
-    for (FileMetaData* f : tmp) {
-      // Level-0 may hold many overlapping files; skip the ones whose
-      // filter proves the key absent before paying for the table seek.
-      if (!vset_->table_cache_->KeyMayMatch(f->number, f->file_size, ikey)) {
-        if (stats != nullptr) stats->Record(kBloomSkippedTables);
-        GetPerfContext()->bloom_skipped_tables++;
-        continue;
-      }
-      Status read_status = vset_->table_cache_->Get(
-          options, f->number, f->file_size, ikey, &saver, SaveValue,
-          /*check_filter=*/false);
-      if (!read_status.ok()) return read_status;
-    }
-    switch (saver.state) {
-      case kNotFound:
-        break;  // Keep searching deeper levels.
-      case kFound:
-        if (stats != nullptr) stats->Record(kGetHits);
-        GetPerfContext()->last_get_hit_level = 0;
-        return Status::OK();
-      case kDeleted:
-        return Status::NotFound(Slice());
-      case kCorrupt:
-        return Status::Corruption("corrupted key for ", user_key);
-    }
-  }
-
-  // Deeper levels hold disjoint files: the key can be served by at most one
-  // "read group" per level — the file whose responsibility range contains
-  // the user key (that file's linked slices cover the gaps around its data
-  // range, including beyond the last file's largest key).
-  for (int level = 1; level < vset_->num_levels_; level++) {
-    const std::vector<FileMetaData*>& files = files_[level];
-    if (files.empty()) continue;
-
-    int index = FindFile(vset_->icmp_, files, k.internal_key());
-    FileMetaData* f;
-    if (index < static_cast<int>(files.size())) {
-      f = files[index];
-    } else {
-      // Past the last file's largest key: the last file's responsibility
-      // extends to +inf, so its slices may still contain the key.
-      f = files.back();
-      if (!links().HasLinks(f->number)) continue;
-    }
-    if (SearchFileGroup(options, f, k, value, &s)) {
-      if (stats != nullptr && s.ok()) stats->Record(kGetHits);
-      if (s.ok()) GetPerfContext()->last_get_hit_level = level;
-      return s;
-    }
-  }
-
-  return Status::NotFound(Slice());
-}
-
-void Version::SearchFileGroupBatch(const ReadOptions& options, FileMetaData* f,
-                                   std::vector<GetRequest*>* requests,
-                                   size_t begin, size_t end, int level) {
-  const Comparator* ucmp = vset_->icmp_.user_comparator();
-  Statistics* stats = vset_->options_->statistics;
-  TableCache* cache = vset_->table_cache_;
-
-  std::vector<Saver> savers(end - begin);
-  for (size_t i = begin; i < end; i++) {
-    GetRequest* r = (*requests)[i];
-    Saver& saver = savers[i - begin];
-    saver.state = kNotFound;
-    saver.ucmp = ucmp;
-    saver.user_key = r->key->user_key();
-    saver.value = r->value;
-    saver.seq = 0;
-  }
-
-  // Linked slices first (strictly newer than *f). Each slice table is
-  // pinned at most once for the whole group; the pin is lazy so a slice
-  // covering none of the batch costs nothing.
-  const LdcLinkState& link_state = links();
-  if (link_state.HasLinks(f->number)) {
-    for (const SliceLinkMeta& link : link_state.LinksNewestFirst(f->number)) {
-      const FrozenFileMeta* frozen = link_state.Frozen(link.frozen_file_number);
-      assert(frozen != nullptr);
-      if (frozen == nullptr) continue;
-      Cache::Handle* handle = nullptr;
-      for (size_t i = begin; i < end; i++) {
-        GetRequest* r = (*requests)[i];
-        if (r->done) continue;
-        const Slice user_key = r->key->user_key();
-        if (ucmp->Compare(user_key, link.smallest.user_key()) < 0 ||
-            ucmp->Compare(user_key, link.largest.user_key()) > 0) {
-          continue;
-        }
-        if (stats != nullptr) stats->Record(kSliceSourcesChecked);
-        GetPerfContext()->slice_sources_checked++;
-        if (handle == nullptr) {
-          Status pin = cache->PinTable(frozen->number, frozen->file_size,
-                                       &handle);
-          if (!pin.ok()) {
-            r->status = pin;
-            r->done = true;
-            continue;
-          }
-        }
-        const Slice ikey = r->key->internal_key();
-        if (!cache->PinnedKeyMayMatch(handle, ikey)) {
-          if (stats != nullptr) stats->Record(kBloomSkippedTables);
-          GetPerfContext()->bloom_skipped_tables++;
-          continue;
-        }
-        Status read_status = cache->PinnedGet(options, handle, ikey,
-                                              &savers[i - begin], SaveValue,
-                                              /*check_filter=*/false);
-        if (!read_status.ok()) {
-          r->status = read_status;
-          r->done = true;
-        }
-      }
-      if (handle != nullptr) cache->Unpin(handle);
-    }
-  }
-
-  // The file itself, pinned once for every in-range key of the group.
-  {
+  // Probes table `number` for every pending request whose user key lies in
+  // [smallest, largest]. `is_slice` counts each such key as a slice source
+  // checked.
+  void Probe(uint64_t number, uint64_t file_size, const Slice& smallest,
+             const Slice& largest, bool is_slice) {
     Cache::Handle* handle = nullptr;
-    for (size_t i = begin; i < end; i++) {
-      GetRequest* r = (*requests)[i];
+    for (size_t i = 0; i < n_; i++) {
+      GetRequest* r = reqs_[i];
       if (r->done) continue;
       const Slice user_key = r->key->user_key();
-      if (ucmp->Compare(user_key, f->smallest.user_key()) < 0 ||
-          ucmp->Compare(user_key, f->largest.user_key()) > 0) {
+      if (ucmp_->Compare(user_key, smallest) < 0 ||
+          ucmp_->Compare(user_key, largest) > 0) {
         continue;
       }
+      if (is_slice) {
+        if (stats_ != nullptr) stats_->Record(kSliceSourcesChecked);
+        GetPerfContext()->slice_sources_checked++;
+      }
       if (handle == nullptr) {
-        Status pin = cache->PinTable(f->number, f->file_size, &handle);
+        Status pin = cache_->PinTable(number, file_size, &handle);
         if (!pin.ok()) {
           r->status = pin;
           r->done = true;
@@ -632,184 +408,165 @@ void Version::SearchFileGroupBatch(const ReadOptions& options, FileMetaData* f,
         }
       }
       const Slice ikey = r->key->internal_key();
-      if (!cache->PinnedKeyMayMatch(handle, ikey)) {
-        if (stats != nullptr) stats->Record(kBloomSkippedTables);
+      if (!cache_->PinnedKeyMayMatch(handle, ikey)) {
+        if (stats_ != nullptr) stats_->Record(kBloomSkippedTables);
         GetPerfContext()->bloom_skipped_tables++;
         continue;
       }
-      Status read_status = cache->PinnedGet(options, handle, ikey,
-                                            &savers[i - begin], SaveValue,
-                                            /*check_filter=*/false);
-      if (!read_status.ok()) {
-        r->status = read_status;
+      Status s = cache_->PinnedGet(options_, handle, ikey, &savers_[i],
+                                   SaveValue);
+      if (!s.ok()) {
+        r->status = s;
         r->done = true;
       }
     }
-    if (handle != nullptr) cache->Unpin(handle);
+    if (handle != nullptr) cache_->Unpin(handle);
   }
 
-  for (size_t i = begin; i < end; i++) {
-    GetRequest* r = (*requests)[i];
-    if (r->done) continue;
-    switch (savers[i - begin].state) {
-      case kNotFound:
-        break;  // Keep searching deeper levels.
-      case kFound:
-        r->status = Status::OK();
-        r->done = true;
-        if (stats != nullptr) stats->Record(kGetHits);
-        GetPerfContext()->last_get_hit_level = level;
-        break;
-      case kDeleted:
-        r->status = Status::NotFound(Slice());
-        r->done = true;
-        break;
-      case kCorrupt:
-        r->status = Status::Corruption("corrupted key for ",
-                                       r->key->user_key());
-        r->done = true;
-        break;
-    }
-  }
-}
-
-void Version::MultiGet(const ReadOptions& options,
-                       std::vector<GetRequest*>* requests) {
-  const Comparator* ucmp = vset_->icmp_.user_comparator();
-  Statistics* stats = vset_->options_->statistics;
-  std::vector<GetRequest*>& reqs = *requests;
-  const size_t n = reqs.size();
-
-  size_t pending = 0;
-  for (GetRequest* r : reqs) {
-    if (r->done) continue;
-    pending++;
-    if (stats != nullptr) stats->Record(kGets);
-  }
-  if (pending == 0) return;
-
-  // Level 0: files overlap, so every file whose range covers a key is
-  // probed and the sequence numbers decide (exactly as in Get). Each
-  // overlapping file is pinned once for all of its in-range keys.
-  if (!files_[0].empty()) {
-    std::vector<Saver> savers(n);
-    for (size_t i = 0; i < n; i++) {
-      if (reqs[i]->done) continue;
-      Saver& saver = savers[i];
-      saver.state = kNotFound;
-      saver.ucmp = ucmp;
-      saver.user_key = reqs[i]->key->user_key();
-      saver.value = reqs[i]->value;
-      saver.seq = 0;
-    }
-    std::vector<FileMetaData*> tmp(files_[0]);
-    std::sort(tmp.begin(), tmp.end(), NewestFirst);
-    for (FileMetaData* f : tmp) {
-      Cache::Handle* handle = nullptr;
-      for (size_t i = 0; i < n; i++) {
-        GetRequest* r = reqs[i];
-        if (r->done) continue;
-        const Slice user_key = r->key->user_key();
-        if (ucmp->Compare(user_key, f->smallest.user_key()) < 0 ||
-            ucmp->Compare(user_key, f->largest.user_key()) > 0) {
-          continue;
-        }
-        if (handle == nullptr) {
-          Status pin = vset_->table_cache_->PinTable(f->number, f->file_size,
-                                                     &handle);
-          if (!pin.ok()) {
-            r->status = pin;
-            r->done = true;
-            continue;
-          }
-        }
-        const Slice ikey = r->key->internal_key();
-        if (!vset_->table_cache_->PinnedKeyMayMatch(handle, ikey)) {
-          if (stats != nullptr) stats->Record(kBloomSkippedTables);
-          GetPerfContext()->bloom_skipped_tables++;
-          continue;
-        }
-        Status read_status = vset_->table_cache_->PinnedGet(
-            options, handle, ikey, &savers[i], SaveValue,
-            /*check_filter=*/false);
-        if (!read_status.ok()) {
-          r->status = read_status;
-          r->done = true;
-        }
-      }
-      if (handle != nullptr) vset_->table_cache_->Unpin(handle);
-    }
-    for (size_t i = 0; i < n; i++) {
-      GetRequest* r = reqs[i];
+  // Marks done every request whose probes reached a verdict at `level`.
+  void Resolve(int level) {
+    for (size_t i = 0; i < n_; i++) {
+      GetRequest* r = reqs_[i];
       if (r->done) continue;
-      switch (savers[i].state) {
+      switch (savers_[i].state) {
         case kNotFound:
           break;  // Keep searching deeper levels.
         case kFound:
           r->status = Status::OK();
           r->done = true;
-          if (stats != nullptr) stats->Record(kGetHits);
-          GetPerfContext()->last_get_hit_level = 0;
+          if (stats_ != nullptr) stats_->Record(kGetHits);
+          GetPerfContext()->last_get_hit_level = level;
           break;
         case kDeleted:
           r->status = Status::NotFound(Slice());
           r->done = true;
           break;
         case kCorrupt:
-          r->status = Status::Corruption("corrupted key for ",
-                                         r->key->user_key());
+          r->status =
+              Status::Corruption("corrupted key for ", r->key->user_key());
           r->done = true;
           break;
       }
     }
   }
 
-  // Deeper levels hold disjoint files. Requests are sorted, so FindFile
-  // indexes are non-decreasing: consecutive requests landing in the same
-  // read group are probed together through one pinned handle per table.
+ private:
+  const ReadOptions& options_;
+  TableCache* const cache_;
+  const Comparator* const ucmp_;
+  Statistics* const stats_;
+  GetRequest** const reqs_;
+  Saver* const savers_;
+  const size_t n_;
+};
+
+}  // namespace
+
+Status Version::Get(const ReadOptions& options, const LookupKey& k,
+                    std::string* value) {
+  GetRequest request;
+  request.key = &k;
+  request.value = value;
+  GetRequest* batch = &request;
+  MultiGet(options, &batch, 1);
+  return request.status;
+}
+
+void Version::MultiGet(const ReadOptions& options, GetRequest** reqs,
+                       size_t n) {
+  const Comparator* ucmp = vset_->icmp_.user_comparator();
+  Statistics* stats = vset_->options_->statistics;
+  TableCache* cache = vset_->table_cache_;
+
+  size_t pending = 0;
+  for (size_t i = 0; i < n; i++) {
+    if (reqs[i]->done) continue;
+    pending++;
+    if (stats != nullptr) stats->Record(kGets);
+  }
+  if (pending == 0) return;
+  std::vector<Saver> savers(n);
+
+  // Level-0 files may overlap each other, and under tiered compaction a
+  // freshly merged file carries *older* data than a smaller file number, so
+  // file-number order is not version order. Probe every file covering a
+  // key and let the sequence numbers decide.
+  if (!files_[0].empty()) {
+    BatchProbe probe(options, cache, ucmp, stats, reqs, savers.data(), n);
+    std::vector<FileMetaData*> newest_first(files_[0]);
+    std::sort(newest_first.begin(), newest_first.end(), NewestFirst);
+    for (FileMetaData* f : newest_first) {
+      probe.Probe(f->number, f->file_size, f->smallest.user_key(),
+                  f->largest.user_key(), /*is_slice=*/false);
+    }
+    probe.Resolve(0);
+  }
+
+  // Deeper levels hold disjoint files: a key is served by at most one read
+  // group per level, the file whose responsibility range contains it plus
+  // that file's linked slices. Requests are sorted, so FindFile indexes are
+  // non-decreasing and consecutive requests landing in the same group are
+  // probed together. Link state comes from this version's immutable
+  // snapshot, so a merge consuming links concurrently cannot hide slice
+  // data from the probe.
+  const LdcLinkState& link_state = links();
   for (int level = 1; level < vset_->num_levels_; level++) {
     const std::vector<FileMetaData*>& files = files_[level];
     if (files.empty()) continue;
     size_t i = 0;
     while (i < n) {
-      GetRequest* r = reqs[i];
-      if (r->done) {
+      if (reqs[i]->done) {
         i++;
         continue;
       }
-      const int index = FindFile(vset_->icmp_, files, r->key->internal_key());
+      const int index =
+          FindFile(vset_->icmp_, files, reqs[i]->key->internal_key());
       FileMetaData* f;
       if (index < static_cast<int>(files.size())) {
         f = files[index];
       } else {
-        // Past the last file's largest key: only its slices may still
-        // contain these keys — and every later (sorted) key lands here
-        // too, so without links the whole rest of the level is done.
+        // Past the last file's largest key: the last file's responsibility
+        // extends to +inf, so only its slices may still hold these keys —
+        // and every later (sorted) key lands here too, so without links
+        // the whole rest of the level is done.
         f = files.back();
-        if (!links().HasLinks(f->number)) break;
+        if (!link_state.HasLinks(f->number)) break;
       }
       size_t j = i + 1;
-      while (j < n) {
-        GetRequest* rj = reqs[j];
-        if (rj->done) {
-          j++;
-          continue;
-        }
-        if (FindFile(vset_->icmp_, files, rj->key->internal_key()) != index) {
-          break;
-        }
+      while (j < n && (reqs[j]->done ||
+                       FindFile(vset_->icmp_, files,
+                                reqs[j]->key->internal_key()) == index)) {
         j++;
       }
-      SearchFileGroupBatch(options, f, requests, i, j, level);
+      BatchProbe probe(options, cache, ucmp, stats, reqs + i,
+                       savers.data() + i, j - i);
+      // The linked slices are strictly newer than *f. Probe them newest
+      // link first (Links() is in ascending link order), the read priority
+      // of paper §III-B3.
+      if (const std::vector<SliceLinkMeta>* slices =
+              link_state.Links(f->number)) {
+        for (auto link = slices->rbegin(); link != slices->rend(); ++link) {
+          const FrozenFileMeta* frozen =
+              link_state.Frozen(link->frozen_file_number);
+          assert(frozen != nullptr);
+          if (frozen == nullptr) continue;
+          probe.Probe(frozen->number, frozen->file_size,
+                      link->smallest.user_key(), link->largest.user_key(),
+                      /*is_slice=*/true);
+        }
+      }
+      probe.Probe(f->number, f->file_size, f->smallest.user_key(),
+                  f->largest.user_key(), /*is_slice=*/false);
+      probe.Resolve(level);
       i = j;
     }
   }
 
   // Anything not resolved by any level is definitively absent.
-  for (GetRequest* r : reqs) {
-    if (!r->done) {
-      r->status = Status::NotFound(Slice());
-      r->done = true;
+  for (size_t i = 0; i < n; i++) {
+    if (!reqs[i]->done) {
+      reqs[i]->status = Status::NotFound(Slice());
+      reqs[i]->done = true;
     }
   }
 }
@@ -1584,9 +1341,9 @@ Iterator* VersionSet::MakeInputIterator(Compaction* c) {
         }
       } else {
         // Create concatenating iterator for the files from this level
-        list[num++] = NewTwoLevelIterator(
-            new Version::LevelFileNumIterator(icmp_, &c->inputs_[which]),
-            &GetFileIterator, table_cache_, options);
+        list[num++] =
+            c->input_version_->NewConcatenatingIterator(options,
+                                                        &c->inputs_[which]);
       }
     }
   }

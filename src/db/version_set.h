@@ -3,17 +3,21 @@
 // around to provide a consistent view to live iterators.
 //
 // Each Version keeps track of a set of Table files per level, and — under
-// LDC — shares the VersionSet's LdcLinkRegistry describing the frozen
-// region and slice links. The entire set of versions is maintained in a
-// VersionSet.
+// LDC — the snapshot of the frozen region and slice links it was installed
+// with. Below level 0 every read goes through one structure, the *read
+// group* of a file: the file plus each slice linked to it, the slice
+// bounded to its link range (paper §III-B3). Get is a one-key MultiGet that
+// probes one group per level; scans concatenate a level's groups
+// (NewGroupIterator); and an LDC merge consumes exactly one group. The
+// entire set of versions is maintained in a VersionSet.
 //
 // Version,VersionSet are thread-compatible, but require external
 // synchronization on all accesses — with two deliberate exceptions for
 // the lock-free read path: LastSequence()/SetLastSequence() are a
 // std::atomic with acquire/release ordering, and Version::Get /
-// Version::MultiGet may run without the DB mutex on any Version the
-// caller holds a reference to (a Version's file lists and link snapshot
-// are immutable after install).
+// Version::MultiGet / iterators may run without the DB mutex on any
+// Version the caller holds a reference to (a Version's file lists and link
+// snapshot are immutable after install).
 
 #ifndef LDC_DB_VERSION_SET_H_
 #define LDC_DB_VERSION_SET_H_
@@ -107,23 +111,26 @@ struct GetRequest {
 class Version {
  public:
   // Lookup the value for key. If found, store it in *val and
-  // return OK. Else return a non-OK status.
+  // return OK. Else return a non-OK status. A one-key MultiGet.
   Status Get(const ReadOptions&, const LookupKey& key, std::string* val);
 
-  // Resolve a batch of lookups in one pass over the tree. Requests must
+  // Resolve a batch of n lookups in one pass over the tree. Requests must
   // be sorted by user key (ascending); already-done entries are skipped.
-  // Compared to N calls to Get(), each table that serves several keys of
-  // the batch is pinned in the table cache once and its bloom filter is
-  // consulted through that single pinned handle, amortizing the cache
-  // lookups across the batch. Results are byte-identical to sequential
-  // Gets against this same Version.
-  void MultiGet(const ReadOptions&, std::vector<GetRequest*>* requests);
+  // Each table that serves several keys of the batch is pinned in the
+  // table cache once and its bloom filter is consulted through that single
+  // pinned handle, amortizing the cache lookups across the batch. Results
+  // are byte-identical to sequential Gets against this same Version.
+  void MultiGet(const ReadOptions&, GetRequest** requests, size_t n);
 
   // Append to *iters a sequence of iterators that will
-  // yield the contents of this Version when merged together.
-  // Under LDC, also appends iterators over every frozen file whose data is
-  // still reachable through slice links.
+  // yield the contents of this Version when merged together: one per
+  // level-0 file, and one per deeper level that walks its read groups.
   void AddIterators(const ReadOptions&, std::vector<Iterator*>* iters);
+
+  // An iterator over the read group of *f, a file below level 0: *f merged
+  // with each slice linked to it, each slice bounded to its link range. An
+  // LDC merge of *f reads exactly this. *f must belong to this Version.
+  Iterator* NewGroupIterator(const ReadOptions&, const FileMetaData* f) const;
 
   // Reference count management (so Versions do not disappear out from
   // under live iterators)
@@ -196,21 +203,10 @@ class Version {
 
   ~Version();
 
-  Iterator* NewConcatenatingIterator(const ReadOptions&, int level) const;
-
-  // Searches one "read group": the linked slices of *f (newest link first)
-  // followed by *f itself, resolving among hits by largest sequence number.
-  // Returns true if a verdict for the key was reached.
-  bool SearchFileGroup(const ReadOptions& options, FileMetaData* f,
-                       const LookupKey& k, std::string* value, Status* s);
-
-  // Batched SearchFileGroup: probes the read group of *f for every
-  // request in [begin,end) of *requests, pinning each table (frozen
-  // slices and the file itself) once for the whole group. Marks
-  // requests done as verdicts are reached.
-  void SearchFileGroupBatch(const ReadOptions& options, FileMetaData* f,
-                            std::vector<GetRequest*>* requests, size_t begin,
-                            size_t end, int level);
+  // Concatenates the read groups of `files`, the non-empty, sorted files
+  // of one level below level 0 (or a compaction's inputs from one).
+  Iterator* NewConcatenatingIterator(
+      const ReadOptions&, const std::vector<FileMetaData*>* files) const;
 
   VersionSet* vset_;  // VersionSet to which this Version belongs
   Version* next_;     // Next version in linked list

@@ -278,41 +278,18 @@ bool Table::KeyMayMatch(const Slice& key) const {
 Status Table::InternalGet(const ReadOptions& options, const Slice& k,
                           void* arg,
                           void (*handle_result)(void*, const Slice&,
-                                                const Slice&),
-                          bool check_filter) {
+                                                const Slice&)) {
   Status s;
   Iterator* iiter = rep_->index_block->NewIterator(rep_->options.comparator);
   iiter->Seek(k);
   if (iiter->Valid()) {
-    Slice handle_value = iiter->value();
-    FilterBlockReader* filter = check_filter ? rep_->filter : nullptr;
-    BlockHandle handle;
-    Statistics* stats = rep_->options.statistics;
-    if (filter != nullptr && handle.DecodeFrom(&handle_value).ok()) {
-      if (stats != nullptr) stats->Record(kBloomChecks);
-      GetPerfContext()->bloom_filter_checks++;
-      if (!filter->KeyMayMatch(handle.offset(), k)) {
-        // Not found
-        if (stats != nullptr) stats->Record(kBloomUseful);
-        GetPerfContext()->bloom_filter_useful++;
-      } else {
-        Iterator* block_iter = BlockReader(this, options, iiter->value());
-        block_iter->Seek(k);
-        if (block_iter->Valid()) {
-          (*handle_result)(arg, block_iter->key(), block_iter->value());
-        }
-        s = block_iter->status();
-        delete block_iter;
-      }
-    } else {
-      Iterator* block_iter = BlockReader(this, options, iiter->value());
-      block_iter->Seek(k);
-      if (block_iter->Valid()) {
-        (*handle_result)(arg, block_iter->key(), block_iter->value());
-      }
-      s = block_iter->status();
-      delete block_iter;
+    Iterator* block_iter = BlockReader(this, options, iiter->value());
+    block_iter->Seek(k);
+    if (block_iter->Valid()) {
+      (*handle_result)(arg, block_iter->key(), block_iter->value());
     }
+    s = block_iter->status();
+    delete block_iter;
   }
   if (s.ok()) {
     s = iiter->status();

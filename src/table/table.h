@@ -67,20 +67,18 @@ class Table {
   explicit Table(Rep* rep) : rep_(rep) {}
 
   // Calls (*handle_result)(arg, ...) with the entry found after a call
-  // to Seek(key). May not make such a call if filter policy says
-  // that key is not present. Callers that already consulted
-  // KeyMayMatch() pass check_filter=false so the filter probe is neither
-  // repeated nor double-counted in the bloom statistics.
+  // to Seek(key). Does not consult the filter: callers screen the key with
+  // KeyMayMatch() first, so each probe is counted once in the bloom
+  // statistics.
   Status InternalGet(const ReadOptions&, const Slice& key, void* arg,
                      void (*handle_result)(void* arg, const Slice& k,
-                                           const Slice& v),
-                     bool check_filter = true);
+                                           const Slice& v));
 
   // Returns false iff the filter policy guarantees that "key" (an internal
   // key) is not present in this table. Seeks only the in-memory index
   // block and probes the filter — no data-block I/O. Records one
-  // kBloomChecks (and kBloomUseful on a negative) exactly like the filter
-  // probe inside InternalGet would. Returns true when no filter is loaded.
+  // kBloomChecks (and kBloomUseful on a negative). Returns true when no
+  // filter is loaded.
   bool KeyMayMatch(const Slice& key) const;
 
   void ReadMeta(const Footer& footer);

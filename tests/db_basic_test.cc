@@ -23,10 +23,14 @@ namespace ldc {
 
 namespace {
 
+// No padding: gtest prints every byte of the parameter into the test names,
+// so padding bytes would make the names differ from run to run.
 struct StyleParam {
   CompactionStyle style;
-  bool use_sim;
+  int use_sim;  // 0 or 1
 };
+static_assert(sizeof(StyleParam) == sizeof(CompactionStyle) + sizeof(int),
+              "StyleParam must have no padding bytes");
 
 std::string StyleName(const testing::TestParamInfo<StyleParam>& info) {
   std::string name;

@@ -2,7 +2,8 @@
 // manual compaction, overwrite collapsing, and level-0 trigger behaviour;
 // plus two rules of the shared merge kernel checked under UDC and LDC with
 // and without the simulator: output cuts fall on user-key boundaries, and a
-// trivial move whose manifest write fails stops the scheduler.
+// trivial move whose manifest write fails stops the scheduler. A flush whose
+// manifest write fails is neither counted nor reported.
 
 #include <algorithm>
 #include <chrono>
@@ -23,6 +24,7 @@
 #include "db/version_set.h"
 #include "ldc/db.h"
 #include "ldc/env.h"
+#include "ldc/listener.h"
 #include "ldc/sim.h"
 #include "ldc/statistics.h"
 #include "util/random.h"
@@ -288,7 +290,7 @@ TEST_P(OutputCutTest, OneUserKeyNeverSpansTwoFiles) {
   }
   EXPECT_GT(neighbours, 0) << "no level >= 1 holds two files";
 
-  // Point reads (not scans: LDC scans can still resurrect deleted keys).
+  // Point reads, at the snapshot and at the latest version.
   ReadOptions at_snapshot;
   at_snapshot.snapshot = snapshot;
   std::string value;
@@ -457,6 +459,59 @@ TEST_P(TrivialMoveFaultTest, FailedMoveStopsSchedulingAndIsNotCounted) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Schedulers, TrivialMoveFaultTest, testing::Bool(),
+                         [](const testing::TestParamInfo<bool>& info) {
+                           return std::string(info.param ? "Sim" : "Inline");
+                         });
+
+// --- A flush whose manifest write fails -------------------------------------
+
+class FlushCounter : public EventListener {
+ public:
+  void OnFlushBegin(const FlushJobInfo&) override { begun++; }
+  void OnFlushCompleted(const FlushJobInfo&) override { completed++; }
+  int begun = 0;
+  int completed = 0;
+};
+
+// A flush is counted and reported only once its table is installed. With
+// every MANIFEST sync after the open failing, the first flush writes its
+// table but cannot install it: neither the flush tickers nor
+// OnFlushCompleted may see it. Parameter: run on the simulator.
+class FlushFaultTest : public testing::TestWithParam<bool> {};
+
+TEST_P(FlushFaultTest, FailedInstallIsNotCounted) {
+  std::unique_ptr<Env> mem(NewMemEnv());
+  Statistics stats;
+  ManifestSyncFaultEnv env(mem.get(), &stats);
+  SsdModel ssd;
+  SimContext sim(ssd);  // Must outlive the DB (its destructor drains it).
+  FlushCounter listener;
+  Options options;
+  options.env = &env;
+  options.create_if_missing = true;
+  options.write_buffer_size = 16 * 1024;
+  options.statistics = &stats;
+  options.listeners.push_back(&listener);
+  if (GetParam()) options.sim = &sim;
+  DB* raw = nullptr;
+  ASSERT_TRUE(DB::Open(options, "/db", &raw).ok());
+  std::unique_ptr<DB> db(raw);
+  env.fail_from = env.syncs;
+
+  const std::string value(100, 'v');
+  Status s;
+  for (int k = 0; k < 1000 && s.ok(); k++) {
+    s = db->Put(WriteOptions(), MakeKey(k), value);
+  }
+  if (s.ok()) s = db->WaitForIdle();
+  EXPECT_FALSE(s.ok()) << "no write reported the failed flush";
+  EXPECT_GT(listener.begun, 0);
+  EXPECT_EQ(0, listener.completed);
+  EXPECT_EQ(0u, stats.Get(kFlushes));
+  EXPECT_EQ(0u, stats.Get(kFlushWriteBytes));
+}
+
+INSTANTIATE_TEST_SUITE_P(Schedulers, FlushFaultTest, testing::Bool(),
                          [](const testing::TestParamInfo<bool>& info) {
                            return std::string(info.param ? "Sim" : "Inline");
                          });

@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "db_oracle.h"
 #include "gtest/gtest.h"
 #include "ldc/db.h"
 #include "ldc/env.h"
@@ -211,19 +212,18 @@ TEST_P(DBConcurrencyTest, ConcurrentWritersMatchShadowMap) {
   for (auto& th : threads) th.join();
   ASSERT_TRUE(db_->WaitForIdle().ok());
 
-  std::map<std::string, std::string> expected;
+  oracle::Shadow expected;
   for (const auto& shadow : shadows) {
     expected.insert(shadow.begin(), shadow.end());
   }
-  std::unique_ptr<Iterator> iter(db_->NewIterator(ReadOptions()));
-  auto it = expected.begin();
-  for (iter->SeekToFirst(); iter->Valid(); iter->Next(), ++it) {
-    ASSERT_NE(expected.end(), it);
-    EXPECT_EQ(it->first, iter->key().ToString());
-    EXPECT_EQ(it->second, iter->value().ToString());
+  // Every id any thread wrote, plus a few no thread did.
+  std::vector<std::string> probes;
+  for (int t = 0; t < kThreads; t++) {
+    for (int id = t * 1000; id < t * 1000 + 650; id++) {
+      probes.push_back(MakeKey(id));
+    }
   }
-  EXPECT_EQ(expected.end(), it);
-  ASSERT_TRUE(iter->status().ok());
+  ASSERT_TRUE(oracle::CheckReads(db_.get(), expected, probes, /*seed=*/1));
 }
 
 TEST_P(DBConcurrencyTest, CloseWhileBackgroundWorkInFlight) {
@@ -377,19 +377,18 @@ TEST_P(DBParallelJobsTest, ShadowMapUnderParallelJobs) {
   for (auto& th : threads) th.join();
   ASSERT_TRUE(db_->WaitForIdle().ok());
 
-  std::map<std::string, std::string> expected;
+  oracle::Shadow expected;
   for (const auto& shadow : shadows) {
     expected.insert(shadow.begin(), shadow.end());
   }
-  std::unique_ptr<Iterator> iter(db_->NewIterator(ReadOptions()));
-  auto it = expected.begin();
-  for (iter->SeekToFirst(); iter->Valid(); iter->Next(), ++it) {
-    ASSERT_NE(expected.end(), it);
-    EXPECT_EQ(it->first, iter->key().ToString());
-    EXPECT_EQ(it->second, iter->value().ToString());
+  // Every id any thread wrote, plus a few no thread did.
+  std::vector<std::string> probes;
+  for (int t = 0; t < kThreads; t++) {
+    for (int id = t * 1000; id < t * 1000 + 650; id++) {
+      probes.push_back(MakeKey(id));
+    }
   }
-  EXPECT_EQ(expected.end(), it);
-  ASSERT_TRUE(iter->status().ok());
+  ASSERT_TRUE(oracle::CheckReads(db_.get(), expected, probes, /*seed=*/1));
 }
 
 TEST_P(DBParallelJobsTest, CloseWhileParallelJobsInFlight) {

@@ -109,11 +109,17 @@ TEST(LdcLinkRegistry, LinksNewestFirstOrdering) {
   edit.AddSliceLink(MakeLink(20, 11, 9, 1));
   registry.Apply(edit);
 
-  const std::vector<SliceLinkMeta> links = registry.LinksNewestFirst(20);
-  ASSERT_EQ(2u, links.size());
-  EXPECT_EQ(9u, links[0].link_seq);
-  EXPECT_EQ(11u, links[0].frozen_file_number);
-  EXPECT_EQ(5u, links[1].link_seq);
+  // Links() keeps link order, so a backwards walk is newest first: the
+  // order in which reads probe the slices.
+  const std::vector<SliceLinkMeta>* links = registry.Links(20);
+  ASSERT_NE(nullptr, links);
+  ASSERT_EQ(2u, links->size());
+  auto newest = links->rbegin();
+  EXPECT_EQ(9u, newest->link_seq);
+  EXPECT_EQ(11u, newest->frozen_file_number);
+  ++newest;
+  EXPECT_EQ(5u, newest->link_seq);
+  EXPECT_EQ(10u, newest->frozen_file_number);
 }
 
 TEST(LdcLinkRegistry, MostLinkedLowerFile) {

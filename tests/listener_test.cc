@@ -98,10 +98,18 @@ class ListenerTest : public testing::Test {
     db_.reset(raw);
   }
 
-  // Checks that the completed merges the listener saw add up to what the
-  // tickers and the per-level sums of ldc.stats-json report: one emission
-  // point feeds every sink. `job_ticker` counts the style's installed jobs.
+  // Checks that the completed flushes and merges the listener saw add up
+  // to what the tickers and ldc.stats-json report (its flush section and
+  // the per-level sums): one emission point feeds every sink. `job_ticker`
+  // counts the style's installed merge jobs.
   void ExpectSinksAgree(Ticker job_ticker) {
+    uint64_t listener_flush_bytes = 0;
+    for (const FlushJobInfo& f : listener_.flushes) {
+      listener_flush_bytes += f.bytes_written;
+    }
+    EXPECT_EQ(stats_.Get(kFlushes), listener_.flushes.size());
+    EXPECT_EQ(stats_.Get(kFlushWriteBytes), listener_flush_bytes);
+
     uint64_t listener_bytes = 0;
     for (const CompactionJobInfo& c : listener_.compactions) {
       listener_bytes += c.bytes_written;
@@ -113,6 +121,11 @@ class ListenerTest : public testing::Test {
     ASSERT_TRUE(db_->GetProperty("ldc.stats-json", &json));
     testjson::JsonValue doc;
     ASSERT_TRUE(testjson::JsonParser::Parse(json, &doc)) << json;
+    const testjson::JsonValue& flush = doc["flush"];
+    EXPECT_EQ(listener_.flushes.size(),
+              static_cast<uint64_t>(flush["count"].number));
+    EXPECT_EQ(listener_flush_bytes,
+              static_cast<uint64_t>(flush["bytes"].number));
     const testjson::JsonValue& levels = doc["levels"];
     ASSERT_FALSE(levels.array.empty());
     uint64_t level_bytes = 0;
