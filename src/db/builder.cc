@@ -59,13 +59,9 @@ Status BuildTable(const std::string& dbname, Env* env, const Options& options,
     file = nullptr;
 
     if (s.ok()) {
-      // Verify that the table is usable
-      Iterator* it = table_cache->NewIterator(ReadOptions(), meta->number,
-                                              meta->file_size);
-      s = it->status();
-      delete it;
       // Freshly flushed pages are still cache-resident on a real system.
-      table_cache->WarmTable(meta->number, meta->file_size);
+      // The warm reads every block back, so it also verifies the table.
+      s = table_cache->WarmTable(meta->number, meta->file_size);
     }
   }
 
@@ -77,6 +73,7 @@ Status BuildTable(const std::string& dbname, Env* env, const Options& options,
   if (s.ok() && meta->file_size > 0) {
     // Keep it
   } else {
+    table_cache->Evict(meta->number);  // The warm may have opened it.
     env->RemoveFile(fname);
   }
   span.SetArg2("bytes", meta->file_size);

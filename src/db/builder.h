@@ -17,9 +17,12 @@ class VersionEdit;
 // will be named according to meta->number. On success, the rest of
 // *meta will be filled with metadata about the generated table.
 // If no data is present in *iter, meta->file_size will be set to
-// zero, and no Table file will be produced. `hint` names the stream the
-// table belongs to (kFlush for memtable flushes and recovery, kCompaction
-// for merge outputs) so the Env can steer it to the right channel.
+// zero, and no Table file will be produced. The new table is read back
+// in full through table_cache, which warms the block cache; if it cannot
+// be read, the file is removed and the error returned. `hint` names the
+// stream the table belongs to (kFlush for memtable flushes and recovery,
+// kCompaction for merge outputs) so the Env can steer it to the right
+// channel.
 Status BuildTable(const std::string& dbname, Env* env, const Options& options,
                   TableCache* table_cache, Iterator* iter, FileMetaData* meta,
                   WriteHint hint);

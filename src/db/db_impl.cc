@@ -124,6 +124,15 @@ Options SanitizeOptions(const std::string& dbname,
   return result;
 }
 
+Status CheckCacheRoles(const std::string& db, const Options& options) {
+  if (options.block_cache != nullptr &&
+      options.block_cache == options.table_handle_cache) {
+    return Status::InvalidArgument(
+        db, "block_cache and table_handle_cache must be different caches");
+  }
+  return Status::OK();
+}
+
 static int TableCacheSize(const Options& sanitized_options) {
   // Reserve ten files or so for other uses and give the rest to TableCache.
   return sanitized_options.max_open_files - 10;
@@ -2719,6 +2728,9 @@ bool DBImpl::GetProperty(const Slice& property, std::string* value) {
          static_cast<uint64_t>(options_.block_cache != nullptr
                                    ? options_.block_cache->TotalCharge()
                                    : 0));
+    size_t memtable_usage = mem_->ApproximateMemoryUsage();
+    if (imm_ != nullptr) memtable_usage += imm_->ApproximateMemoryUsage();
+    w.KV("memtable_usage", static_cast<uint64_t>(memtable_usage));
     if (stats_ != nullptr) {
       w.Key("statistics");
       w.Raw(stats_->ToJson());
@@ -2961,6 +2973,8 @@ std::vector<Status> DB::MultiGet(const ReadOptions& options,
 Status DB::Open(const Options& options, const std::string& dbname, DB** dbptr) {
   *dbptr = nullptr;
 
+  Status roles = CheckCacheRoles(dbname, options);
+  if (!roles.ok()) return roles;
   if (options.num_shards != 1) {
     return ShardedDB::Open(options, dbname, dbptr);
   }

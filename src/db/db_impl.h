@@ -441,6 +441,12 @@ Options SanitizeOptions(const std::string& db,
                         const InternalFilterPolicy* ipolicy,
                         const Options& src);
 
+// InvalidArgument if one Cache object serves as both the block cache and
+// the table-handle cache. A table's deleter runs under a table-cache shard
+// mutex and erases the table's blocks from the block cache, which would
+// take that shard mutex a second time (docs/CONCURRENCY.md, lock order).
+Status CheckCacheRoles(const std::string& db, const Options& options);
+
 }  // namespace ldc
 
 #endif  // LDC_DB_DB_IMPL_H_

@@ -365,6 +365,8 @@ class Repairer {
 }  // namespace
 
 Status RepairDB(const std::string& dbname, const Options& options) {
+  Status roles = CheckCacheRoles(dbname, options);
+  if (!roles.ok()) return roles;
   Repairer repairer(dbname, options);
   return repairer.Run();
 }

@@ -37,7 +37,11 @@ TableCache::TableCache(const std::string& dbname, const Options& options,
       cache_id_(cache_->NewId()) {}
 
 TableCache::~TableCache() {
-  if (owns_cache_) delete cache_;
+  if (owns_cache_) {
+    delete cache_;
+  } else {
+    for (uint64_t file_number : opened_) EraseEntry(file_number);
+  }
 }
 
 Status TableCache::FindTable(uint64_t file_number, uint64_t file_size,
@@ -74,6 +78,10 @@ Status TableCache::FindTable(uint64_t file_number, uint64_t file_size,
       tf->file = file;
       tf->table = table;
       *handle = cache_->Insert(key, tf, 1, &DeleteEntry);
+      if (!owns_cache_) {
+        std::lock_guard<std::mutex> l(opened_mu_);
+        opened_.insert(file_number);
+      }
     }
   }
   return s;
@@ -123,7 +131,6 @@ Status TableCache::PinnedGet(const ReadOptions& options, Cache::Handle* handle,
 void TableCache::Unpin(Cache::Handle* handle) { cache_->Release(handle); }
 
 Status TableCache::WarmTable(uint64_t file_number, uint64_t file_size) {
-  if (options_.block_cache == nullptr) return Status::OK();
   ReadOptions options;
   options.fill_cache = true;
   Iterator* iter = NewIterator(options, file_number, file_size);
@@ -135,6 +142,14 @@ Status TableCache::WarmTable(uint64_t file_number, uint64_t file_size) {
 }
 
 void TableCache::Evict(uint64_t file_number) {
+  if (!owns_cache_) {
+    std::lock_guard<std::mutex> l(opened_mu_);
+    opened_.erase(file_number);
+  }
+  EraseEntry(file_number);
+}
+
+void TableCache::EraseEntry(uint64_t file_number) {
   char buf[2 * sizeof(file_number)];
   EncodeFixed64(buf, cache_id_);
   EncodeFixed64(buf + sizeof(uint64_t), file_number);

@@ -4,6 +4,8 @@
 #define LDC_DB_TABLE_CACHE_H_
 
 #include <cstdint>
+#include <mutex>
+#include <set>
 #include <string>
 
 #include "db/dbformat.h"
@@ -27,6 +29,9 @@ class TableCache {
   TableCache(const TableCache&) = delete;
   TableCache& operator=(const TableCache&) = delete;
 
+  // Erases this instance's entries from a shared cache, so no handle
+  // outlives the DB: a dying Table erases its blocks from
+  // options.block_cache, which the DB may own and delete next.
   ~TableCache();
 
   // Return an iterator for the specified file number (the corresponding
@@ -69,16 +74,17 @@ class TableCache {
   // Evict any entry for the specified file number
   void Evict(uint64_t file_number);
 
-  // Loads every data block of the file into the block cache. Called for
-  // freshly written tables: on a real system their pages are still in the
-  // OS page cache after the write, so immediate reads do not hit the
-  // device. Returns the status of opening and reading the table, so the
-  // warm doubles as the check that a new output is usable. No-op (OK) when
-  // there is no block cache.
+  // Opens the file and reads every data block, loading each into the
+  // block cache if there is one. Called for freshly written tables: on a
+  // real system their pages are still in the OS page cache after the
+  // write, so immediate reads do not hit the device. Returns the status of
+  // opening and reading the table, so the warm doubles as the check that a
+  // new output is usable.
   Status WarmTable(uint64_t file_number, uint64_t file_size);
 
  private:
   Status FindTable(uint64_t file_number, uint64_t file_size, Cache::Handle**);
+  void EraseEntry(uint64_t file_number);
 
   Env* const env_;
   const std::string dbname_;
@@ -86,6 +92,11 @@ class TableCache {
   Cache* cache_;
   const bool owns_cache_;   // false when options.table_handle_cache is used
   const uint64_t cache_id_;  // key prefix within (possibly shared) cache_
+
+  // Files this instance has opened into a shared cache_ and not evicted;
+  // empty when owns_cache_.
+  std::mutex opened_mu_;
+  std::set<uint64_t> opened_;
 };
 
 }  // namespace ldc

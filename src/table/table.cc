@@ -130,7 +130,37 @@ void Table::ReadFilter(const Slice& filter_handle_value) {
   rep_->filter = new FilterBlockReader(rep_->options.filter_policy, block.data);
 }
 
-Table::~Table() { delete rep_; }
+// A block's key in the block cache: the owning table's cache_id, then the
+// block's offset in the file.
+static Slice BlockCacheKey(uint64_t cache_id, uint64_t offset,
+                           char (&buf)[16]) {
+  EncodeFixed64(buf, cache_id);
+  EncodeFixed64(buf + 8, offset);
+  return Slice(buf, sizeof(buf));
+}
+
+// Erases every data block of this table from the block cache. No Table
+// reuses a cache_id, so once this one is gone none of its blocks can be
+// looked up again; a page cache drops a deleted file's pages the same way.
+// Runs under the table cache's shard mutex, inside that cache's deleter,
+// so the block cache must be a different Cache object (DB::Open checks).
+Table::~Table() {
+  Cache* block_cache = rep_->options.block_cache;
+  if (block_cache != nullptr) {
+    char key_buf[16];
+    Iterator* iter = rep_->index_block->NewIterator(rep_->options.comparator);
+    for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
+      Slice input = iter->value();
+      BlockHandle handle;
+      if (handle.DecodeFrom(&input).ok()) {
+        block_cache->Erase(
+            BlockCacheKey(rep_->cache_id, handle.offset(), key_buf));
+      }
+    }
+    delete iter;
+  }
+  delete rep_;
+}
 
 void Table::SetFileNumber(uint64_t file_number) {
   rep_->file_number = file_number;
@@ -172,9 +202,8 @@ Iterator* Table::BlockReader(void* arg, const ReadOptions& options,
     BlockContents contents;
     if (block_cache != nullptr) {
       char cache_key_buffer[16];
-      EncodeFixed64(cache_key_buffer, table->rep_->cache_id);
-      EncodeFixed64(cache_key_buffer + 8, handle.offset());
-      Slice key(cache_key_buffer, sizeof(cache_key_buffer));
+      const Slice key = BlockCacheKey(table->rep_->cache_id, handle.offset(),
+                                      cache_key_buffer);
       cache_handle = block_cache->Lookup(key);
       if (cache_handle != nullptr) {
         block = reinterpret_cast<Block*>(block_cache->Value(cache_handle));

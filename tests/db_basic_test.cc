@@ -11,6 +11,7 @@
 #include <string>
 
 #include "gtest/gtest.h"
+#include "ldc/cache.h"
 #include "ldc/env.h"
 #include "ldc/filter_policy.h"
 #include "ldc/sim.h"
@@ -379,6 +380,58 @@ INSTANTIATE_TEST_SUITE_P(
                     StyleParam{CompactionStyle::kLdc, true},
                     StyleParam{CompactionStyle::kTiered, true}),
     StyleName);
+
+// ---- Block cache and table-handle cache ------------------------------------
+
+// A dying table erases its blocks from the block cache while the
+// table-handle cache holds its shard mutex. One Cache object in both roles
+// could take that mutex twice, so the DB (plain or sharded) and RepairDB
+// refuse it.
+TEST(DBCacheRolesTest, OneCacheInBothRolesIsRejected) {
+  std::unique_ptr<Env> env(NewMemEnv());
+  std::unique_ptr<Cache> cache(NewLRUCache(1 << 20));
+  Options options;
+  options.env = env.get();
+  options.create_if_missing = true;
+  options.block_cache = cache.get();
+  options.table_handle_cache = cache.get();
+  DB* raw = nullptr;
+  EXPECT_TRUE(DB::Open(options, "/db", &raw).IsInvalidArgument());
+  EXPECT_EQ(nullptr, raw);
+  options.num_shards = 2;
+  EXPECT_TRUE(DB::Open(options, "/sharded", &raw).IsInvalidArgument());
+  EXPECT_EQ(nullptr, raw);
+  EXPECT_FALSE(env->FileExists("/sharded/SHARDING"));
+  options.num_shards = 1;
+  EXPECT_TRUE(RepairDB("/db", options).IsInvalidArgument());
+}
+
+// A DB that shares a table-handle cache but owns its block cache deletes
+// that block cache on close. None of its tables may stay in the shared
+// cache: each would erase its blocks from the deleted cache when evicted.
+TEST(DBCacheRolesTest, ClosedDbLeavesNoTablesInSharedHandleCache) {
+  std::unique_ptr<Env> env(NewMemEnv());
+  std::unique_ptr<Cache> handles(NewLRUCache(100));
+  Options options;
+  options.env = env.get();
+  options.create_if_missing = true;
+  options.write_buffer_size = 16 * 1024;
+  options.max_file_size = 16 * 1024;
+  options.table_handle_cache = handles.get();
+  DB* raw = nullptr;
+  ASSERT_TRUE(DB::Open(options, "/db", &raw).ok());
+  std::unique_ptr<DB> db(raw);
+  std::string value;
+  for (int i = 0; i < 2000; i++) {
+    ASSERT_TRUE(
+        db->Put(WriteOptions(), MakeKey(i), std::string(100, 'x')).ok());
+  }
+  ASSERT_TRUE(db->WaitForIdle().ok());
+  ASSERT_TRUE(db->Get(ReadOptions(), MakeKey(7), &value).ok());
+  ASSERT_GT(handles->TotalCharge(), 0u);
+  db.reset();
+  EXPECT_EQ(0u, handles->TotalCharge());
+}
 
 }  // namespace
 }  // namespace ldc

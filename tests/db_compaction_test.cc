@@ -3,7 +3,8 @@
 // plus two rules of the shared merge kernel checked under UDC and LDC with
 // and without the simulator: output cuts fall on user-key boundaries, and a
 // trivial move whose manifest write fails stops the scheduler. A flush whose
-// manifest write fails is neither counted nor reported.
+// manifest write fails, or whose table cannot be read back, is neither
+// counted nor reported.
 
 #include <algorithm>
 #include <chrono>
@@ -22,6 +23,7 @@
 #include "gtest/gtest.h"
 #include "db/db_impl.h"
 #include "db/version_set.h"
+#include "ldc/cache.h"
 #include "ldc/db.h"
 #include "ldc/env.h"
 #include "ldc/listener.h"
@@ -509,6 +511,93 @@ TEST_P(FlushFaultTest, FailedInstallIsNotCounted) {
   EXPECT_EQ(0, listener.completed);
   EXPECT_EQ(0u, stats.Get(kFlushes));
   EXPECT_EQ(0u, stats.Get(kFlushWriteBytes));
+}
+
+// Fails every read at offset 0 of a table file: the first data block. The
+// footer, index and filter sit further on, so Table::Open still succeeds.
+class TableReadFaultEnv : public EnvWrapper {
+ public:
+  explicit TableReadFaultEnv(Env* target) : EnvWrapper(target) {}
+
+  Status NewRandomAccessFile(const std::string& f,
+                             RandomAccessFile** r) override {
+    Status s = EnvWrapper::NewRandomAccessFile(f, r);
+    if (s.ok() && f.size() > 4 && f.compare(f.size() - 4, 4, ".ldb") == 0) {
+      *r = new File(*r);
+    }
+    return s;
+  }
+
+ private:
+  class File : public RandomAccessFile {
+   public:
+    explicit File(RandomAccessFile* target) : target_(target) {}
+    ~File() override { delete target_; }
+    Status Read(uint64_t offset, size_t n, Slice* result,
+                char* scratch) const override {
+      if (offset == 0) return Status::IOError("injected table read failure");
+      return target_->Read(offset, n, result, scratch);
+    }
+
+   private:
+    RandomAccessFile* const target_;
+  };
+};
+
+// The flush reads its new table back before installing it, as merges do
+// with their outputs: a table whose data cannot be read is not installed,
+// counted or reported, its handle leaves the table cache, and the
+// memtable's WAL stays.
+TEST_P(FlushFaultTest, UnreadableTableIsNotInstalled) {
+  std::unique_ptr<Env> mem(NewMemEnv());
+  TableReadFaultEnv env(mem.get());
+  std::unique_ptr<Cache> handles(NewLRUCache(100));
+  Statistics stats;
+  SsdModel ssd;
+  SimContext sim(ssd);  // Must outlive the DB (its destructor drains it).
+  FlushCounter listener;
+  Options options;
+  options.env = &env;
+  options.create_if_missing = true;
+  options.write_buffer_size = 16 * 1024;
+  options.statistics = &stats;
+  options.table_handle_cache = handles.get();
+  options.listeners.push_back(&listener);
+  if (GetParam()) options.sim = &sim;
+  DB* raw = nullptr;
+  ASSERT_TRUE(DB::Open(options, "/db", &raw).ok());
+  std::unique_ptr<DB> db(raw);
+
+  const std::string value(100, 'v');
+  Status s;
+  int acked = 0;
+  for (; acked < 1000; acked++) {
+    s = db->Put(WriteOptions(), MakeKey(acked), value);
+    if (!s.ok()) break;
+  }
+  if (s.ok()) s = db->WaitForIdle();
+  EXPECT_FALSE(s.ok()) << "no write reported the failed flush";
+  EXPECT_GT(listener.begun, 0);
+  EXPECT_EQ(0, listener.completed);
+  EXPECT_EQ(0u, stats.Get(kFlushes));
+  EXPECT_EQ(0u, stats.Get(kFlushWriteBytes));
+  std::string files;
+  ASSERT_TRUE(db->GetProperty("ldc.num-files-at-level0", &files));
+  EXPECT_EQ("0", files);
+  EXPECT_EQ(0u, handles->TotalCharge());
+  db.reset();
+
+  // Nothing was lost: recovery from the kept WAL, without the fault,
+  // restores every acknowledged write.
+  options.env = mem.get();
+  options.listeners.clear();
+  ASSERT_TRUE(DB::Open(options, "/db", &raw).ok());
+  db.reset(raw);
+  std::string got;
+  for (int k = 0; k < acked; k++) {
+    ASSERT_TRUE(db->Get(ReadOptions(), MakeKey(k), &got).ok()) << k;
+    EXPECT_EQ(value, got) << k;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Schedulers, FlushFaultTest, testing::Bool(),

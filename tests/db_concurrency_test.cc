@@ -15,6 +15,7 @@
 
 #include "db_oracle.h"
 #include "gtest/gtest.h"
+#include "ldc/cache.h"
 #include "ldc/db.h"
 #include "ldc/env.h"
 #include "ldc/listener.h"
@@ -407,6 +408,101 @@ TEST_P(DBParallelJobsTest, CloseWhileParallelJobsInFlight) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Styles, DBParallelJobsTest,
+                         testing::Values(CompactionStyle::kUdc,
+                                         CompactionStyle::kLdc,
+                                         CompactionStyle::kTiered),
+                         StyleName);
+
+// --- Dead tables leave the block cache under parallel jobs -------------------
+
+// The threaded form of BlockCacheLiveDataTest (db_property_test.cc): four
+// background jobs delete tables while readers hold some of them pinned.
+// The block cache must never hold more than the table files that still
+// exist, and once the obsolete ones are deleted, no more than the live and
+// frozen table bytes. Each dying table erases its blocks under a
+// table-cache shard mutex, so TSan checks that lock order here too.
+class BlockCacheLiveDataThreadedTest
+    : public testing::TestWithParam<CompactionStyle> {};
+
+TEST_P(BlockCacheLiveDataThreadedTest, CacheHoldsOnlyLiveTables) {
+  std::unique_ptr<Env> mem_env(NewMemEnv());
+  ThreadedMemEnv env(mem_env.get());
+  std::unique_ptr<Cache> cache(NewLRUCache(64 << 20));
+  Options options;
+  options.env = &env;
+  options.create_if_missing = true;
+  options.compaction_style = GetParam();
+  options.max_background_jobs = 4;
+  options.write_buffer_size = 16 * 1024;
+  options.max_file_size = 16 * 1024;
+  options.level1_max_bytes = 64 * 1024;
+  options.fan_out = 4;
+  options.block_cache = cache.get();
+  DB* raw = nullptr;
+  ASSERT_TRUE(DB::Open(options, "/db", &raw).ok());
+  std::unique_ptr<DB> db(raw);
+
+  constexpr int kWriters = 2;
+  constexpr int kKeysPerWriter = 500;
+  std::atomic<int> writers_left{kWriters};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kWriters; t++) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < 6000; i++) {
+        const int id = t * kKeysPerWriter + i % kKeysPerWriter;
+        db->Put(WriteOptions(), MakeKey(id), std::string(200, 'a' + t));
+      }
+      writers_left--;
+    });
+  }
+  for (int t = 0; t < 2; t++) {
+    threads.emplace_back([&, t] {
+      std::string value;
+      for (int i = t; writers_left.load() > 0; i += 7) {
+        db->Get(ReadOptions(), MakeKey(i % (kWriters * kKeysPerWriter)),
+                &value);
+        std::unique_ptr<Iterator> it(db->NewIterator(ReadOptions()));
+        it->Seek(MakeKey(i % (kWriters * kKeysPerWriter)));
+        for (int n = 0; n < 20 && it->Valid(); n++) it->Next();
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  ASSERT_TRUE(db->WaitForIdle().ok());
+
+  std::vector<std::string> children;
+  ASSERT_TRUE(env.GetChildren("/db", &children).ok());
+  uint64_t file_bytes = 0;
+  for (const std::string& child : children) {
+    uint64_t size = 0;
+    if (child.size() > 4 && child.compare(child.size() - 4, 4, ".ldb") == 0 &&
+        env.GetFileSize("/db/" + child, &size).ok()) {
+      file_bytes += size;
+    }
+  }
+  EXPECT_LE(cache->TotalCharge(), file_bytes);
+
+  // A table that a reader's version pinned during the last job's sweep is
+  // deleted only by the next job's, so flush once more with no reader.
+  for (int id = 0; id < 100; id++) {
+    ASSERT_TRUE(
+        db->Put(WriteOptions(), MakeKey(id), std::string(200, 'a')).ok());
+  }
+  ASSERT_TRUE(db->WaitForIdle().ok());
+  std::string total;
+  ASSERT_TRUE(db->GetProperty("ldc.total-bytes", &total));
+  const uint64_t table_bytes = std::stoull(total);
+  ASSERT_GT(table_bytes, 0u);
+  EXPECT_GT(cache->TotalCharge(), 0u);
+  EXPECT_LE(cache->TotalCharge(), table_bytes);
+  std::string value;
+  for (int id = 0; id < kWriters * kKeysPerWriter; id++) {
+    ASSERT_TRUE(db->Get(ReadOptions(), MakeKey(id), &value).ok()) << id;
+    EXPECT_EQ(std::string(200, 'a' + id / kKeysPerWriter), value) << id;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Styles, BlockCacheLiveDataThreadedTest,
                          testing::Values(CompactionStyle::kUdc,
                                          CompactionStyle::kLdc,
                                          CompactionStyle::kTiered),

@@ -10,9 +10,11 @@
 #include <tuple>
 
 #include "gtest/gtest.h"
+#include "ldc/cache.h"
 #include "ldc/db.h"
 #include "ldc/env.h"
 #include "ldc/filter_policy.h"
+#include "ldc/sim.h"
 #include "ldc/statistics.h"
 #include "util/random.h"
 #include "workload/key_generator.h"
@@ -171,19 +173,20 @@ TEST_P(DBPropertyTest, SnapshotsStayConsistentThroughCompactions) {
   db_->ReleaseSnapshot(snap);
 }
 
-std::string PropertyName(const testing::TestParamInfo<PropertyParam>& info) {
-  std::string name;
-  switch (std::get<0>(info.param)) {
+std::string StyleName(CompactionStyle style) {
+  switch (style) {
     case CompactionStyle::kUdc:
-      name = "Udc";
-      break;
+      return "Udc";
     case CompactionStyle::kLdc:
-      name = "Ldc";
-      break;
+      return "Ldc";
     case CompactionStyle::kTiered:
-      name = "Tiered";
-      break;
+      return "Tiered";
   }
+  return "Unknown";
+}
+
+std::string PropertyName(const testing::TestParamInfo<PropertyParam>& info) {
+  std::string name = StyleName(std::get<0>(info.param));
   name += "Fan" + std::to_string(std::get<1>(info.param));
   name += "Ts" + std::to_string(std::get<2>(info.param));
   name += "Val" + std::to_string(std::get<3>(info.param));
@@ -208,5 +211,66 @@ INSTANTIATE_TEST_SUITE_P(
         PropertyParam{CompactionStyle::kTiered, 4, 0, 64},
         PropertyParam{CompactionStyle::kTiered, 10, 0, 300}),
     PropertyName);
+
+// ---- The block cache holds live tables only --------------------------------
+
+// (style, run on the simulator)
+using CacheParam = std::tuple<CompactionStyle, bool>;
+
+// Every flush and merge output is warmed into the block cache, and a
+// deleted table's blocks must leave it, as a page cache drops a deleted
+// file's pages. So after many compactions a cache far larger than the data
+// holds at most the bytes of the live and frozen tables.
+class BlockCacheLiveDataTest : public testing::TestWithParam<CacheParam> {};
+
+TEST_P(BlockCacheLiveDataTest, CacheHoldsOnlyLiveTables) {
+  std::unique_ptr<Env> env(NewMemEnv());
+  std::unique_ptr<Cache> cache(NewLRUCache(64 << 20));
+  std::unique_ptr<const FilterPolicy> bloom(NewBloomFilterPolicy(10));
+  SimContext sim{SsdModel()};  // Must outlive the DB (its destructor drains).
+  Options options;
+  options.env = env.get();
+  options.create_if_missing = true;
+  options.compaction_style = std::get<0>(GetParam());
+  options.write_buffer_size = 16 * 1024;
+  options.max_file_size = 16 * 1024;
+  options.level1_max_bytes = 64 * 1024;
+  options.fan_out = 4;
+  options.block_cache = cache.get();
+  options.filter_policy = bloom.get();
+  if (std::get<1>(GetParam())) options.sim = &sim;
+  DB* raw = nullptr;
+  ASSERT_TRUE(DB::Open(options, "/db", &raw).ok());
+  std::unique_ptr<DB> db(raw);
+
+  // About 4.4 MB of overwrites over 220 KB of live data.
+  std::string value;
+  for (int i = 0; i < 20000; i++) {
+    MakeValue(i % 1000, i, 200, &value);
+    ASSERT_TRUE(db->Put(WriteOptions(), MakeKey(i % 1000), value).ok());
+  }
+  ASSERT_TRUE(db->WaitForIdle().ok());
+
+  std::string total;
+  ASSERT_TRUE(db->GetProperty("ldc.total-bytes", &total));
+  const uint64_t table_bytes = std::stoull(total);
+  ASSERT_GT(table_bytes, 0u);
+  EXPECT_GT(cache->TotalCharge(), 0u);
+  EXPECT_LE(cache->TotalCharge(), table_bytes);
+  for (int k = 0; k < 1000; k++) {
+    ASSERT_TRUE(db->Get(ReadOptions(), MakeKey(k), &value).ok()) << k;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Styles, BlockCacheLiveDataTest,
+    testing::Combine(testing::Values(CompactionStyle::kUdc,
+                                     CompactionStyle::kLdc,
+                                     CompactionStyle::kTiered),
+                     testing::Bool()),
+    [](const testing::TestParamInfo<CacheParam>& info) {
+      return StyleName(std::get<0>(info.param)) +
+             (std::get<1>(info.param) ? "Sim" : "Inline");
+    });
 
 }  // namespace ldc

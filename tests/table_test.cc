@@ -8,6 +8,7 @@
 #include <string>
 
 #include "gtest/gtest.h"
+#include "ldc/cache.h"
 #include "ldc/comparator.h"
 #include "ldc/env.h"
 #include "ldc/filter_policy.h"
@@ -305,6 +306,7 @@ class TableRoundtripTest : public testing::Test {
   }
 
   std::unique_ptr<Env> env_;
+  std::unique_ptr<Cache> block_cache_;  // Outlives table_.
   Options options_;
   std::unique_ptr<const FilterPolicy> filter_policy_;
   RandomAccessFile* raf_ = nullptr;
@@ -374,6 +376,38 @@ TEST_F(TableRoundtripTest, ApproximateOffsetMonotonic) {
   EXPECT_LE(prev, file_size_);
   // Past-the-end key approximates the file end.
   EXPECT_GT(table_->ApproximateOffsetOf("z"), file_size_ / 2);
+}
+
+// A table's cache_id dies with it, so a deleted table must take its blocks
+// out of the block cache; another owner's entries stay.
+TEST_F(TableRoundtripTest, DeletedTableErasesItsBlocksFromBlockCache) {
+  block_cache_.reset(NewLRUCache(1 << 20));
+  options_.block_cache = block_cache_.get();
+  block_cache_->Release(block_cache_->Insert(
+      "other-owner", nullptr, 100, [](const Slice&, void*) {}));
+  const size_t before = block_cache_->TotalCharge();
+  ASSERT_EQ(100u, before);
+
+  std::map<std::string, std::string> model;
+  Random rnd(5);
+  for (int i = 0; i < 300; i++) {
+    char key[16];
+    std::snprintf(key, sizeof(key), "k%07d", i);
+    model[key] = RandomValue(&rnd, 100);
+  }
+  Build(model, /*with_filter=*/true);
+  {
+    std::unique_ptr<Iterator> iter(table_->NewIterator(ReadOptions()));
+    int entries = 0;
+    for (iter->SeekToFirst(); iter->Valid(); iter->Next()) entries++;
+    ASSERT_TRUE(iter->status().ok());
+    ASSERT_EQ(300, entries);
+  }
+  // Every one of the ~30 data blocks is cached.
+  ASSERT_GT(block_cache_->TotalCharge(), before + 20 * 1000);
+
+  table_.reset();
+  EXPECT_EQ(before, block_cache_->TotalCharge());
 }
 
 TEST_F(TableRoundtripTest, OpenRejectsTruncatedFile) {
