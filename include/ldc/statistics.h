@@ -60,9 +60,11 @@ enum Ticker : uint32_t {
   kStallMicros,               // hard write stalls (L0 stop / imm wait)
   kSlowdownMicros,            // L0 slowdown delays
 
-  // Background scheduling (multi-job scheduler, docs/CONCURRENCY.md).
-  kBgJobsScheduled,           // background calls handed to Env::Schedule
-  kBgWorkUnits,               // work units (flush/compaction/merge) executed
+  // Background scheduling (docs/CONCURRENCY.md). Both executors, the
+  // thread pool and the simulator, count their jobs in kBgWorkUnits and in
+  // the kBgJobsRunning / kLdcMergesRunning gauges.
+  kBgJobsScheduled,           // calls handed to Env::Schedule (0 in sim)
+  kBgWorkUnits,               // jobs (flush/compaction/merge) executed
 
   // Per-channel I/O volume of the multi-channel SSD simulator
   // ("io.channel.<k>.read.bytes" / "io.channel.<k>.write.bytes").

@@ -39,7 +39,7 @@ namespace ldc {
 
 namespace {
 
-// Background job kinds (see DBImpl::RunBackgroundJob).
+// Background job kinds (see DBImpl::BackgroundJob).
 enum BackgroundJobKind {
   kJobFlush = 0,
   kJobUdcCompaction = 1,
@@ -644,6 +644,21 @@ void DBImpl::AbortQueuedJobs() {
   pending_merge_flow_.clear();
 }
 
+bool DBImpl::WaitForBackgroundJob() {
+  if (sim_ != nullptr) {
+    // The simulator's waiter advances the virtual clock: the next job on
+    // the timeline runs now, on this thread, and takes mutex_ itself.
+    if (!sim_->HasPendingBackgroundJobs()) return false;
+    mutex_.unlock();
+    sim_->WaitForNextBackgroundJob();
+    mutex_.lock();
+    return true;
+  }
+  if (bg_jobs_scheduled_ == 0 && !manual_compaction_active_) return false;
+  background_work_finished_signal_.wait(mutex_);
+  return true;
+}
+
 uint64_t DBImpl::NowMicros() const {
   return sim_ != nullptr ? sim_->NowMicros() : env_->NowMicros();
 }
@@ -955,27 +970,36 @@ void DBImpl::MaybeScheduleCompaction() {
   if (shutting_down_.load(std::memory_order_acquire) || !bg_error_.ok()) {
     return;
   }
-  if (sim_ != nullptr) {
-    // Simulation: register (at most) one job on the device timeline. The
-    // data work runs later, when a Pump/Wait/Drain call advances the
-    // virtual clock past the job's completion time.
-    ScheduleBackgroundWorkSim();
-    return;
-  }
   if (manual_compaction_active_) {
     // TEST_CompactRange owns the background slots for the duration of its
     // inline compaction; it re-runs this method when it is done.
     return;
   }
-  // LDC's link phase is metadata-only, so it runs right here on the
-  // foreground path: level 0 drains instantly even when the device is busy
-  // with merges. Running it concurrently with in-flight merges is safe
-  // because DoLdcLinkWork defers any plan that would attach a slice to a
-  // lower file whose merge is claimed (see the data-loss note there).
-  if (options_.compaction_style == CompactionStyle::kLdc) {
-    DoLdcLinkWork();
-  }
   FillJobQueue();
+  if (sim_ != nullptr) {
+    // The simulator's hand-over: each claimed job goes on its stream's
+    // channel timeline, in claim order (so a flush is placed first). When
+    // the virtual clock reaches it, it runs like a worker's job, frees its
+    // slot and runs this pass again.
+    while (!job_queue_.empty()) {
+      BackgroundJob job = std::move(job_queue_.front());
+      job_queue_.pop_front();
+      bg_jobs_scheduled_++;
+      const bool flush = job.kind == kJobFlush;
+      const uint64_t bytes = job.bytes;
+      sim_->ScheduleBackground(
+          flush ? 0 : bytes, bytes,
+          flush ? SimActivity::kFlush : SimActivity::kCompaction,
+          [this, job = std::move(job)]() mutable {
+            std::lock_guard<std::mutex> l(mutex_);
+            ExecuteBackgroundJob(&job);
+            bg_jobs_scheduled_--;
+            MaybeScheduleCompaction();
+            background_work_finished_signal_.notify_all();
+          });
+    }
+    return;
+  }
   // Launch one worker per queued job, up to the configured cap. Workers
   // loop over the queue, so calls already scheduled but not yet executing
   // a unit (bg_jobs_scheduled_ - bg_jobs_running_) also count as capacity.
@@ -997,27 +1021,61 @@ void DBImpl::MaybeScheduleCompaction() {
 }
 
 void DBImpl::FillJobQueue() {
-  const int max_jobs = options_.max_background_jobs;
-  auto slots_left = [&] {
-    return max_jobs - bg_jobs_running_ - static_cast<int>(job_queue_.size());
+  // Slot limits. Threads run up to max_background_jobs jobs of any kind.
+  // The simulated device holds one job at a time, or one flush plus one
+  // compaction-class job when the placement puts the two streams on
+  // distinct channels; max_background_jobs does not apply to it.
+  int max_jobs = options_.max_background_jobs;
+  int max_compactions = max_jobs;
+  // Claimed jobs that have left job_queue_ and not finished: the ones
+  // workers are running, or the ones on the simulated timeline.
+  int handed_over = bg_jobs_running_;
+  if (sim_ != nullptr) {
+    max_jobs = sim_->StreamsIsolated(SimActivity::kFlush,
+                                     SimActivity::kCompaction)
+                   ? 2
+                   : 1;
+    max_compactions = 1;
+    handed_over = bg_jobs_scheduled_;
+  }
+  auto jobs = [&] {
+    return handed_over + static_cast<int>(job_queue_.size());
   };
-  if (slots_left() <= 0) return;
+  auto compaction_slots = [&] {
+    const int compactions = jobs() - (flush_claimed_ ? 1 : 0);
+    return std::min(max_jobs - jobs(), max_compactions - compactions);
+  };
 
   // 1. Flushing the immutable memtable has priority: user writes stall
   //    behind it. One claim suffices — there is only ever one imm_.
-  if (imm_ != nullptr && !flush_claimed_) {
+  if (imm_ != nullptr && !flush_claimed_ && jobs() < max_jobs) {
     flush_claimed_ = true;
     BackgroundJob job;
     job.kind = kJobFlush;
+    job.bytes = imm_->ApproximateMemoryUsage();
     job_queue_.push_back(std::move(job));
+  }
+
+  // 2. LDC's link phase is metadata-only, so threads run it on every pass:
+  //    level 0 drains instantly even when the device is busy with merges.
+  //    Running it concurrently with claimed merges is safe because
+  //    DoLdcLinkWork defers any plan that would attach a slice to a lower
+  //    file whose merge is claimed (see the data-loss note there). The link
+  //    gate: the simulator links only while a compaction-class slot is
+  //    open, so no merge is ever claimed while it links. Every simulated
+  //    figure was produced under that rule; dropping it moves most LDC
+  //    figures.
+  if (options_.compaction_style == CompactionStyle::kLdc &&
+      (sim_ == nullptr || compaction_slots() > 0)) {
+    DoLdcLinkWork();
   }
 
   switch (options_.compaction_style) {
     case CompactionStyle::kLdc: {
-      // 2a. LDC: claim queued merges in FIFO order. Merges on distinct
+      // 3a. LDC: claim queued merges in FIFO order. Merges on distinct
       //     lower files rewrite disjoint key ranges by construction, so
       //     every claimed merge may run concurrently with the others.
-      while (slots_left() > 0 && !pending_merges_.empty()) {
+      while (compaction_slots() > 0 && !pending_merges_.empty()) {
         const uint64_t lower = pending_merges_.front();
         pending_merges_.pop_front();
         pending_merge_set_.erase(lower);
@@ -1027,14 +1085,20 @@ void DBImpl::FillJobQueue() {
         BackgroundJob job;
         job.kind = kJobLdcMerge;
         job.lower_file = lower;
+        job.bytes = versions_->registry()->LinkedBytes(lower);
+        int level = -1;
+        FileMetaData* f = nullptr;
+        if (versions_->current()->FindFileByNumber(lower, &level, &f)) {
+          job.bytes += f->file_size;
+        }
         job_queue_.push_back(std::move(job));
       }
       break;
     }
     case CompactionStyle::kTiered: {
-      // 2c. Lazy baseline: each pick excludes files already claimed by an
+      // 3c. Lazy baseline: each pick excludes files already claimed by an
       //     in-flight tiered merge, so concurrent groups are disjoint.
-      while (slots_left() > 0) {
+      while (compaction_slots() > 0) {
         uint64_t total_bytes = 0;
         std::vector<uint64_t> group = PickTieredGroup(&total_bytes);
         if (group.empty()) break;
@@ -1042,19 +1106,20 @@ void DBImpl::FillJobQueue() {
         BackgroundJob job;
         job.kind = kJobTieredMerge;
         job.claims = std::move(group);
+        job.bytes = total_bytes;
         job_queue_.push_back(std::move(job));
       }
       break;
     }
     case CompactionStyle::kUdc: {
-      // 2b. UDC: pick classic compactions. Trivial moves are pure metadata
+      // 3b. UDC: pick classic compactions. Trivial moves are pure metadata
       //     and are applied instantly. A data compaction is queued only if
       //     its input file set is disjoint from every claimed job —
       //     compact_pointer_ advances at pick time, so consecutive picks at
       //     the same level naturally select different upper files, and any
       //     key-range overlap between two compactions would surface as a
       //     shared (claimed) level+1 input file.
-      while (slots_left() > 0) {
+      while (compaction_slots() > 0) {
         Compaction* c = PickUdcCompaction();
         if (c == nullptr) break;
         bool conflict = false;
@@ -1080,6 +1145,7 @@ void DBImpl::FillJobQueue() {
         job.kind = kJobUdcCompaction;
         job.compaction = c;
         job.claims = std::move(inputs);
+        job.bytes = c->TotalInputBytes();
         job_queue_.push_back(std::move(job));
       }
       break;
@@ -1101,26 +1167,13 @@ void DBImpl::BackgroundCall() {
          !job_queue_.empty()) {
     BackgroundJob job = std::move(job_queue_.front());
     job_queue_.pop_front();
-    bg_jobs_running_++;
-    // Delta updates: the Statistics object may be shared across shards, so
-    // the gauge aggregates every shard's running jobs.
-    if (stats_ != nullptr) {
-      stats_->AddGauge(kBgJobsRunning);
-    }
     ExecuteBackgroundJob(&job);
-    bg_jobs_running_--;
-    if (stats_ != nullptr) {
-      stats_->SubGauge(kBgJobsRunning);
-    }
     background_work_finished_signal_.notify_all();
     if (shutting_down_.load(std::memory_order_acquire) || !bg_error_.ok()) {
       break;
     }
     // Completed work may enable more (a flush created level-0 work, a
     // finished merge released its claims); refill before the next round.
-    if (options_.compaction_style == CompactionStyle::kLdc) {
-      DoLdcLinkWork();
-    }
     FillJobQueue();
   }
   bg_jobs_scheduled_--;
@@ -1133,6 +1186,12 @@ void DBImpl::BackgroundCall() {
 
 void DBImpl::ExecuteBackgroundJob(BackgroundJob* job) {
   const uint64_t start_us = NowMicros();
+  bg_jobs_running_++;
+  // Delta updates: the Statistics object may be shared across shards, so
+  // the gauge aggregates every shard's running jobs.
+  if (stats_ != nullptr) {
+    stats_->AddGauge(kBgJobsRunning);
+  }
   switch (job->kind) {
     case kJobFlush: {
       if (imm_ != nullptr) {
@@ -1172,164 +1231,15 @@ void DBImpl::ExecuteBackgroundJob(BackgroundJob* job) {
     default:
       assert(false);
   }
+  bg_jobs_running_--;
   if (stats_ != nullptr) {
+    stats_->SubGauge(kBgJobsRunning);
     stats_->Record(kBgWorkUnits);
     if (job->kind != kJobFlush) {
       stats_->RecordLatency(OpHistogram::kCompactionDurationUs,
                             static_cast<double>(NowMicros() - start_us));
     }
   }
-}
-
-bool DBImpl::ScheduleBackgroundWorkSim() {
-  // The simulated device timeline keeps a strict job discipline
-  // (max_background_jobs is ignored): at most one flush plus one
-  // compaction-class job sit on the timeline, and the two only overlap
-  // when the placement policy routes their streams to distinct channels.
-  // With a single channel (or no placement hints) this degenerates to the
-  // historical single-job discipline: bg_jobs_scheduled_ is 0 or 1.
-  if (!bg_error_.ok() || shutting_down_.load(std::memory_order_acquire)) {
-    return false;
-  }
-
-  auto start_job = [this](int kind, uint64_t arg, uint64_t read_bytes,
-                          uint64_t write_bytes, SimActivity activity) {
-    bg_jobs_scheduled_++;
-    if (kind == kJobFlush) {
-      sim_flush_scheduled_ = true;
-    } else {
-      sim_compaction_scheduled_ = true;
-    }
-    sim_->ScheduleBackground(read_bytes, write_bytes, activity,
-                             [this, kind, arg]() {
-                               RunBackgroundJob(kind, arg);
-                             });
-  };
-
-  const bool streams_isolated = sim_->StreamsIsolated(
-      SimActivity::kFlush, SimActivity::kCompaction);
-  bool scheduled = false;
-
-  // 1. Flushing the immutable memtable has priority: user writes stall
-  //    behind it. It may ride alongside an in-flight compaction when the
-  //    flush and compaction streams live on different channels.
-  const bool flush_slot_free =
-      !sim_flush_scheduled_ &&
-      (bg_jobs_scheduled_ == 0 ||
-       (sim_compaction_scheduled_ && streams_isolated));
-  if (imm_ != nullptr && flush_slot_free) {
-    start_job(kJobFlush, 0, 0, imm_->ApproximateMemoryUsage(),
-              SimActivity::kFlush);
-    scheduled = true;
-  }
-
-  // 2. One compaction-class job (UDC / LDC merge / tiered merge). Without
-  //    stream isolation this slot only opens when the timeline is empty,
-  //    which also keeps flushes strictly prioritized.
-  const bool compaction_slot_free =
-      !sim_compaction_scheduled_ &&
-      (bg_jobs_scheduled_ == 0 ||
-       (sim_flush_scheduled_ && streams_isolated));
-  if (!compaction_slot_free) {
-    return scheduled;
-  }
-
-  if (options_.compaction_style == CompactionStyle::kTiered) {
-    // 2c. Lazy baseline: merge a tier of similarly-sized level-0 files.
-    uint64_t total_bytes = 0;
-    std::vector<uint64_t> group = PickTieredGroup(&total_bytes);
-    if (group.empty()) return scheduled;
-    assert(scheduled_tier_group_.empty());
-    scheduled_tier_group_ = std::move(group);
-    start_job(kJobTieredMerge, 0, total_bytes, total_bytes,
-              SimActivity::kCompaction);
-    return true;
-  }
-
-  if (options_.compaction_style == CompactionStyle::kLdc) {
-    // 2a. LDC: run the (instant, metadata-only) link phase, then schedule
-    //     the next queued merge if any lower file crossed T_s.
-    DoLdcLinkWork();
-    if (!pending_merges_.empty()) {
-      const uint64_t lower = pending_merges_.front();
-      uint64_t lower_size = 0;
-      {
-        int level = -1;
-        FileMetaData* f = nullptr;
-        if (versions_->current()->FindFileByNumber(lower, &level, &f)) {
-          lower_size = f->file_size;
-        }
-      }
-      const uint64_t slice_bytes = versions_->registry()->LinkedBytes(lower);
-      start_job(kJobLdcMerge, lower, lower_size + slice_bytes,
-                lower_size + slice_bytes, SimActivity::kCompaction);
-      return true;
-    }
-    return scheduled;
-  }
-
-  // 2b. UDC: pick a classic compaction (trivial moves are applied on the
-  //     way).
-  Compaction* c = PickUdcCompaction();
-  if (c == nullptr) return scheduled;
-  const uint64_t input_bytes = c->TotalInputBytes();
-  // Stash the picked compaction for the job body. At most one
-  // compaction-class job can be outstanding, so a single slot suffices.
-  assert(scheduled_udc_ == nullptr);
-  scheduled_udc_ = c;
-  start_job(kJobUdcCompaction, 0, input_bytes, input_bytes,
-            SimActivity::kCompaction);
-  return true;
-}
-
-void DBImpl::RunBackgroundJob(int job_kind, uint64_t arg) {
-  // Invoked by the simulator when the virtual clock passes the job's device
-  // completion time. The simulator's Pump/Wait/Drain entry points are only
-  // ever called with mutex_ released, so taking it here cannot deadlock.
-  mutex_.lock();
-  const uint64_t start_us = NowMicros();
-  switch (job_kind) {
-    case kJobFlush: {
-      CompactMemTable();
-      break;
-    }
-    case kJobUdcCompaction: {
-      Compaction* c = scheduled_udc_;
-      scheduled_udc_ = nullptr;
-      DoUdcCompaction(c);
-      break;
-    }
-    case kJobLdcMerge: {
-      assert(!pending_merges_.empty() && pending_merges_.front() == arg);
-      pending_merges_.pop_front();
-      pending_merge_set_.erase(arg);
-      DoLdcMerge(arg);
-      break;
-    }
-    case kJobTieredMerge: {
-      std::vector<uint64_t> group = std::move(scheduled_tier_group_);
-      scheduled_tier_group_.clear();
-      DoTieredMerge(group);
-      break;
-    }
-    default:
-      assert(false);
-  }
-  if (stats_ != nullptr && job_kind != kJobFlush) {
-    stats_->RecordLatency(OpHistogram::kCompactionDurationUs,
-                          static_cast<double>(NowMicros() - start_us));
-  }
-  if (job_kind == kJobFlush) {
-    sim_flush_scheduled_ = false;
-  } else {
-    sim_compaction_scheduled_ = false;
-  }
-  bg_jobs_scheduled_--;
-  // Chain the next unit of background work (a flush may have been blocked
-  // behind this job, or a merge may be queued).
-  ScheduleBackgroundWorkSim();
-  background_work_finished_signal_.notify_all();
-  mutex_.unlock();
 }
 
 Compaction* DBImpl::PickUdcCompaction() {
@@ -2446,16 +2356,8 @@ Status DBImpl::MakeRoomForWrite(bool force) {
       TraceSpan stall_span(tracer_, TraceCat::kStall, "stall.memtable_wait");
       stall_span.SetLabel(trace_label_);
       MaybeScheduleCompaction();
-      if (sim_ != nullptr) {
-        if (sim_->HasPendingBackgroundJobs()) {
-          mutex_.unlock();
-          sim_->WaitForNextBackgroundJob();
-          mutex_.lock();
-        }
-      } else if (bg_jobs_scheduled_ > 0 || manual_compaction_active_) {
-        background_work_finished_signal_.wait(mutex_);
-      } else if (imm_ != nullptr && bg_error_.ok()) {
-        // No background call outstanding yet the imm_ persists: with an
+      if (!WaitForBackgroundJob() && imm_ != nullptr && bg_error_.ok()) {
+        // No background job outstanding yet the imm_ persists: with an
         // inline Env the flush ran synchronously and must have failed.
         s = Status::IOError("immutable memtable was not flushed");
         break;
@@ -2477,16 +2379,9 @@ Status DBImpl::MakeRoomForWrite(bool force) {
       TraceSpan stall_span(tracer_, TraceCat::kStall, "stall.l0_stop");
       stall_span.SetLabel(trace_label_);
       MaybeScheduleCompaction();
-      if (sim_ != nullptr) {
-        if (sim_->HasPendingBackgroundJobs()) {
-          mutex_.unlock();
-          sim_->WaitForNextBackgroundJob();
-          mutex_.lock();
-        }
-      } else if (bg_jobs_scheduled_ > 0 || manual_compaction_active_) {
-        background_work_finished_signal_.wait(mutex_);
-      } else if (versions_->NumLevelFiles(0) >= options_.l0_stop_trigger &&
-                 bg_error_.ok()) {
+      if (!WaitForBackgroundJob() &&
+          versions_->NumLevelFiles(0) >= options_.l0_stop_trigger &&
+          bg_error_.ok()) {
         s = Status::IOError("level-0 files did not drain");
         break;
       }
@@ -2534,25 +2429,7 @@ Status DBImpl::MakeRoomForWrite(bool force) {
 }
 
 Status DBImpl::WaitForIdle() {
-  if (sim_ != nullptr) {
-    // Drain scheduled jobs and keep scheduling until the tree is balanced.
-    int spins = 0;
-    while (true) {
-      sim_->Drain();  // Fires RunBackgroundJob callbacks; needs mutex_ free.
-      mutex_.lock();
-      MaybeScheduleCompaction();
-      const bool pending = sim_->HasPendingBackgroundJobs() ||
-                           bg_jobs_scheduled_ > 0 ||
-                           imm_ != nullptr || !pending_merges_.empty();
-      const Status err = bg_error_;
-      mutex_.unlock();
-      if (!pending) return err;
-      if (++spins > 1000000) {
-        return Status::IOError("WaitForIdle did not converge");
-      }
-    }
-  }
-  mutex_.lock();
+  std::lock_guard<std::mutex> l(mutex_);
   while (true) {
     MaybeScheduleCompaction();
     const bool pending = bg_jobs_scheduled_ > 0 || !job_queue_.empty() ||
@@ -2561,11 +2438,11 @@ Status DBImpl::WaitForIdle() {
         shutting_down_.load(std::memory_order_acquire)) {
       break;
     }
-    background_work_finished_signal_.wait(mutex_);
+    if (!WaitForBackgroundJob()) {
+      return Status::IOError("WaitForIdle did not converge");
+    }
   }
-  Status s = bg_error_;
-  mutex_.unlock();
-  return s;
+  return bg_error_;
 }
 
 bool DBImpl::GetProperty(const Slice& property, std::string* value) {
@@ -2880,15 +2757,15 @@ void DBImpl::TEST_CompactRange(int level, const Slice* begin,
 
   if (sim_ != nullptr) {
     // Settle the simulated timeline first so no sim job races the manual
-    // compaction (Drain fires callbacks that acquire mutex_).
+    // compaction (Drain fires callbacks that acquire mutex_). It leaves no
+    // job on the timeline, so the wait below returns at once.
     sim_->Drain();
   }
   mutex_.lock();
   // Wait until every background worker has exited and no claimed job is
   // left queued (workers drain the queue before exiting, so both counts
   // reach zero together unless a background error aborted the queue).
-  while (sim_ == nullptr &&
-         (bg_jobs_scheduled_ > 0 || !job_queue_.empty()) && bg_error_.ok()) {
+  while ((bg_jobs_scheduled_ > 0 || !job_queue_.empty()) && bg_error_.ok()) {
     background_work_finished_signal_.wait(mutex_);
   }
   Compaction* c = versions_->CompactRange(level, begin_key, end_key);
@@ -2908,28 +2785,12 @@ Status DBImpl::TEST_CompactMemTable() {
   // nullptr batch means just wait for earlier writes to be done
   Status s = Write(WriteOptions(), nullptr);
   if (s.ok()) {
-    if (sim_ != nullptr) {
-      // Force the flush through the simulated device.
-      while (true) {
-        mutex_.lock();
-        const bool need =
-            imm_ != nullptr && sim_->HasPendingBackgroundJobs();
-        mutex_.unlock();
-        if (!need) break;
-        sim_->WaitForNextBackgroundJob();
-      }
-      mutex_.lock();
-    } else {
-      mutex_.lock();
-      while (imm_ != nullptr && bg_error_.ok()) {
-        MaybeScheduleCompaction();
-        if (imm_ == nullptr || !bg_error_.ok()) break;
-        if (bg_jobs_scheduled_ > 0) {
-          background_work_finished_signal_.wait(mutex_);
-        } else {
-          break;  // Nothing scheduled yet the imm_ persists: give up.
-        }
-      }
+    mutex_.lock();
+    while (imm_ != nullptr && bg_error_.ok()) {
+      MaybeScheduleCompaction();
+      if (imm_ == nullptr || !bg_error_.ok()) break;
+      // Nothing outstanding yet the imm_ persists: give up.
+      if (!WaitForBackgroundJob()) break;
     }
     if (imm_ != nullptr && bg_error_.ok()) {
       s = Status::IOError("immutable memtable was not flushed");

@@ -196,70 +196,72 @@ class DBImpl : public DB {
   Status CompactMemTable() EXCLUSIVE_LOCKS_REQUIRED(mutex_);
 
   // --- Background-work orchestration -----------------------------------
-  // Up to options_.max_background_jobs work units (one flush plus any set
-  // of mutually non-conflicting compactions / LDC merges) run concurrently.
-  // FillJobQueue() picks and *claims* units under mutex_ — an LDC merge
-  // claims its lower file (merges_in_flight_), a UDC compaction / tiered
-  // merge claims its input file numbers (claimed_files_), the flush claims
-  // the single flush slot (flush_claimed_) — so no two in-flight jobs ever
-  // touch the same file. Version installs, manifest writes, and frozen-file
-  // refcount decrements all happen inside VersionSet::LogAndApply with
-  // mutex_ held, so they stay serialized no matter how many jobs run.
-  // Three execution regimes share the same job bodies (a flush, or a merge
+  // One scheduler picks all background work. FillJobQueue() picks and
+  // *claims* units under mutex_ — an LDC merge claims its lower file
+  // (merges_in_flight_), a UDC compaction / tiered merge claims its input
+  // file numbers (claimed_files_), the flush claims the single flush slot
+  // (flush_claimed_) — so no two claimed jobs ever touch the same file.
+  // Version installs, manifest writes, and frozen-file refcount decrements
+  // all happen inside VersionSet::LogAndApply with mutex_ held, so they
+  // stay serialized no matter how many jobs run. Two executors run the
+  // claimed jobs through the same ExecuteBackgroundJob (a flush, or a merge
   // planner feeding the merge kernel, RunMerge below):
   //
-  //  * Simulation (sim_ != nullptr): jobs are registered on the simulated
-  //    device timeline by ScheduleBackgroundWorkSim() and their data work
-  //    runs inside RunBackgroundJob() when the virtual clock passes the
-  //    job's completion time (SimContext::Pump / WaitForNextBackgroundJob /
-  //    Drain — always invoked with mutex_ released). Single threaded,
-  //    deterministic, and always single-job (max_background_jobs is
-  //    ignored under the simulator).
-  //  * Threaded Env (PosixEnv): MaybeScheduleCompaction() fills the job
-  //    queue and hands up to max_background_jobs BGWork calls to
-  //    Env::Schedule's thread pool; each BackgroundCall() loops, executing
-  //    queued jobs and refilling the queue until none remain, signalling
-  //    background_work_finished_signal_ after each one.
-  //  * Inline Env (default Env::Schedule runs the function before
-  //    returning): the same BackgroundCall() drains all work synchronously
-  //    inside MaybeScheduleCompaction(), which is why that method releases
-  //    the mutex around the Schedule call.
+  //  * Env::Schedule (no simulator): MaybeScheduleCompaction() hands up to
+  //    max_background_jobs BGWork calls to the Env; each BackgroundCall()
+  //    loops, executing queued jobs and refilling the queue until none
+  //    remain. On PosixEnv the calls run on pool threads. The default
+  //    Env::Schedule runs them inline before returning, which is why
+  //    MaybeScheduleCompaction() releases the mutex around the call.
+  //  * The simulator (sim_ != nullptr): MaybeScheduleCompaction() places
+  //    each claimed job on its stream's channel timeline, costed by the
+  //    job's bytes. The job runs when the virtual clock reaches it
+  //    (SimContext::Pump / WaitForNextBackgroundJob / Drain, always called
+  //    with mutex_ released), then frees its slot and runs the scheduling
+  //    pass again. Single threaded and deterministic.
+  //
+  // The simulator differs from threads in five places only: the slot
+  // limits and the link gate (both in FillJobQueue), the hand-over (timeline
+  // vs Env::Schedule), how a waiter waits (WaitForBackgroundJob), and the
+  // timeline drains in ~DBImpl and TEST_CompactRange.
 
-  // A claimed unit of background work awaiting a worker.
+  // A claimed unit of background work.
   struct BackgroundJob {
     int kind = 0;                      // BackgroundJobKind (db_impl.cc)
     uint64_t lower_file = 0;           // LDC merge: the claimed lower file
     Compaction* compaction = nullptr;  // UDC: picked compaction (owned)
     // File numbers held in claimed_files_ (UDC inputs / tiered group).
     std::vector<uint64_t> claims;
+    // Device bytes, fixed at claim time: the simulator charges a flush for
+    // writing them and a compaction-class job for reading and writing them.
+    uint64_t bytes = 0;
   };
 
   void MaybeScheduleCompaction() EXCLUSIVE_LOCKS_REQUIRED(mutex_);
-  // Picks and claims schedulable work units into job_queue_ until the
-  // queue plus the running jobs reach max_background_jobs or no
-  // non-conflicting unit remains. Applies UDC trivial moves inline.
+  // Picks and claims schedulable work units into job_queue_ until the slot
+  // limits are reached or no non-conflicting unit remains. Runs LDC's link
+  // phase and applies UDC trivial moves inline.
   void FillJobQueue() EXCLUSIVE_LOCKS_REQUIRED(mutex_);
-  // UDC, for both schedulers: applies trivial moves (pure metadata) until a
-  // pick needs data work, and returns that compaction. Returns null when
-  // nothing needs compacting, when every candidate is claimed, or once a
-  // background error is set (a failed move leaves the tree unchanged, so
-  // picking again would spin).
+  // UDC: applies trivial moves (pure metadata) until a pick needs data
+  // work, and returns that compaction. Returns null when nothing needs
+  // compacting, when every candidate is claimed, or once a background error
+  // is set (a failed move leaves the tree unchanged, so picking again would
+  // spin).
   Compaction* PickUdcCompaction() EXCLUSIVE_LOCKS_REQUIRED(mutex_);
   static void BGWork(void* db);
   void BackgroundCall();
-  // Runs one claimed job and releases its claims.
+  // Runs one claimed job inside the running-job counters and releases its
+  // claims. Both executors call it.
   void ExecuteBackgroundJob(BackgroundJob* job)
       EXCLUSIVE_LOCKS_REQUIRED(mutex_);
-  // Drops every queued (not yet running) job, releasing its claims, and
+  // Drops every queued (not yet handed over) job, releasing its claims, and
   // clears the LDC merge queue. Called on background error and shutdown.
   void AbortQueuedJobs() EXCLUSIVE_LOCKS_REQUIRED(mutex_);
-
-  // Simulation path: registers (at most) one job on the device timeline.
-  // Returns true if a job was scheduled.
-  bool ScheduleBackgroundWorkSim() EXCLUSIVE_LOCKS_REQUIRED(mutex_);
-  // Simulation path: callback fired by the simulator when a scheduled job's
-  // device time has elapsed. Acquires mutex_ itself.
-  void RunBackgroundJob(int job_kind, uint64_t arg);
+  // Waits for one background job to finish. The simulator advances its
+  // clock to the next job on the timeline and runs it; threads wait on
+  // background_work_finished_signal_. Returns false, without waiting, when
+  // no job is outstanding.
+  bool WaitForBackgroundJob() EXCLUSIVE_LOCKS_REQUIRED(mutex_);
 
   // --- Merges -------------------------------------------------------------
   // One kernel runs the data work of every compaction style: merge-sort
@@ -357,18 +359,15 @@ class DBImpl : public DB {
   // part of ongoing compactions.
   std::set<uint64_t> pending_outputs_;
 
-  // Number of background calls scheduled or running (threaded/inline Env;
-  // bounded by options_.max_background_jobs). In sim mode: the number of
-  // jobs sitting on the simulated device timeline — at most one flush plus
-  // one compaction-class job, and the latter only overlaps the former when
-  // the placement policy isolates the two streams onto distinct channels.
+  // Jobs handed to an executor and not yet finished. Without the simulator:
+  // BGWork calls scheduled or running (at most max_background_jobs). With
+  // it: claimed jobs on the device timeline (see FillJobQueue's slot
+  // limits).
   int bg_jobs_scheduled_;
-  // Sim mode: which job classes currently occupy the timeline.
-  bool sim_flush_scheduled_ = false;
-  bool sim_compaction_scheduled_ = false;
   // Number of work units currently executing (always <= bg_jobs_scheduled_).
   int bg_jobs_running_ = 0;
-  // Claimed jobs waiting for a worker (threaded/inline Env only).
+  // Claimed jobs not yet handed to an executor. The simulator places them on
+  // its timeline in the same scheduling pass, so it leaves none here.
   std::deque<BackgroundJob> job_queue_;
   // Claim table — see the orchestration comment above.
   bool flush_claimed_ = false;
@@ -381,14 +380,10 @@ class DBImpl : public DB {
   // Set while TEST_CompactRange runs a manual compaction inline; blocks
   // MaybeScheduleCompaction from launching competing jobs.
   bool manual_compaction_active_ = false;
-  // The UDC compaction whose sim job is currently scheduled (at most one).
-  Compaction* scheduled_udc_ = nullptr;
 
-  // LDC: lower files waiting for their merge, FIFO.
+  // LDC: lower files waiting for their merge to be claimed, FIFO.
   std::deque<uint64_t> pending_merges_;
   std::set<uint64_t> pending_merge_set_;
-  // Tiered: the file group whose sim merge job is currently scheduled.
-  std::vector<uint64_t> scheduled_tier_group_;
 
   // Adaptive-T_s controller state. Lock-free: counters advance with
   // relaxed RMWs from any thread; whichever thread crosses the window

@@ -1,8 +1,10 @@
 // DB-level tests of the multi-channel device subsystem: WriteHint plumbing
 // from real call sites through Env::NewWritableFile, the "ldc.channels"
-// property, per-channel stream separation under the isolated policy, and
-// bit-for-bit determinism of multi-channel runs.
+// property, per-channel stream separation under the isolated policy,
+// bit-for-bit determinism of multi-channel runs, and the simulated device's
+// background job rule.
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <string>
@@ -16,6 +18,8 @@
 #include "ldc/filter_policy.h"
 #include "ldc/sim.h"
 #include "ldc/statistics.h"
+#include "util/random.h"
+#include "workload/key_generator.h"
 #include "workload/workload.h"
 
 namespace ldc {
@@ -227,6 +231,105 @@ TEST(ChannelDbTest, DifferentSeedsDiverge) {
   ChannelRun a = RunChannelWorkload(PlacementPolicy::kIsolated, 42);
   ChannelRun b = RunChannelWorkload(PlacementPolicy::kIsolated, 43);
   EXPECT_NE(a.now_us, b.now_us);
+}
+
+namespace {
+
+// What the device held over a run, sampled after every Put.
+struct JobRuleRun {
+  int max_jobs = 0;        // On the whole device.
+  int max_flushes = 0;     // On the flush channel (isolated placement).
+  int max_compactions = 0; // On the compaction channel (isolated).
+  int samples_with_both = 0;
+  uint64_t now_us = 0;
+  std::vector<uint64_t> ch_read, ch_written, ch_busy;
+};
+
+// 20,000 random Puts on the simulator, sampling the per-channel job counts.
+JobRuleRun RunJobRuleWorkload(CompactionStyle style, int num_channels,
+                              PlacementPolicy placement, int max_jobs) {
+  std::unique_ptr<Env> env(NewMemEnv());
+  SsdModel model;
+  model.num_channels = num_channels;
+  model.placement = placement;
+  SimContext sim(model);
+
+  Options options;
+  options.env = env.get();
+  options.create_if_missing = true;
+  options.compaction_style = style;
+  options.write_buffer_size = 16 * 1024;
+  options.max_file_size = 16 * 1024;
+  options.max_background_jobs = max_jobs;
+  options.sim = &sim;
+  DB* raw = nullptr;
+  EXPECT_TRUE(DB::Open(options, "/jobdb", &raw).ok());
+  std::unique_ptr<DB> db(raw);
+
+  JobRuleRun out;
+  Random rng(301);
+  std::string value;
+  for (int i = 0; i < 20000; i++) {
+    const uint64_t id = rng.Uniform(5000);
+    MakeValue(id, i, 200, &value);
+    EXPECT_TRUE(db->Put(WriteOptions(), MakeKey(id), value).ok());
+    int jobs = 0;
+    for (int k = 0; k < num_channels; k++) jobs += sim.ChannelQueuedJobs(k);
+    out.max_jobs = std::max(out.max_jobs, jobs);
+    if (num_channels == 4) {
+      const int flushes = sim.ChannelQueuedJobs(1);
+      const int compactions = sim.ChannelQueuedJobs(2);
+      out.max_flushes = std::max(out.max_flushes, flushes);
+      out.max_compactions = std::max(out.max_compactions, compactions);
+      if (flushes > 0 && compactions > 0) out.samples_with_both++;
+    }
+  }
+  out.now_us = sim.NowMicros();
+  for (int k = 0; k < num_channels; k++) {
+    out.ch_read.push_back(sim.ChannelBytesRead(k));
+    out.ch_written.push_back(sim.ChannelBytesWritten(k));
+    out.ch_busy.push_back(sim.ChannelBusyMicros(k));
+  }
+  return out;
+}
+
+}  // namespace
+
+// The simulated device's job rule, which every simulated figure was produced
+// under: one background job at a time, or one flush plus one compaction job
+// when the placement puts the two streams on distinct channels.
+// max_background_jobs does not apply under the simulator.
+TEST(ChannelDbTest, SimulatedDeviceKeepsItsJobRule) {
+  struct Device {
+    int channels;
+    PlacementPolicy placement;
+  };
+  for (CompactionStyle style :
+       {CompactionStyle::kUdc, CompactionStyle::kLdc,
+        CompactionStyle::kTiered}) {
+    for (Device d : {Device{1, PlacementPolicy::kNone},
+                     Device{4, PlacementPolicy::kIsolated}}) {
+      SCOPED_TRACE("style=" + std::to_string(static_cast<int>(style)) +
+                   " channels=" + std::to_string(d.channels));
+      const JobRuleRun one =
+          RunJobRuleWorkload(style, d.channels, d.placement, 1);
+      if (d.channels == 1) {
+        EXPECT_EQ(1, one.max_jobs);
+      } else {
+        EXPECT_EQ(2, one.max_jobs);
+        EXPECT_EQ(1, one.max_flushes);
+        EXPECT_EQ(1, one.max_compactions);
+        EXPECT_GT(one.samples_with_both, 0);
+      }
+      const JobRuleRun four =
+          RunJobRuleWorkload(style, d.channels, d.placement, 4);
+      EXPECT_EQ(one.max_jobs, four.max_jobs);
+      EXPECT_EQ(one.now_us, four.now_us);
+      EXPECT_EQ(one.ch_read, four.ch_read);
+      EXPECT_EQ(one.ch_written, four.ch_written);
+      EXPECT_EQ(one.ch_busy, four.ch_busy);
+    }
+  }
 }
 
 }  // namespace ldc

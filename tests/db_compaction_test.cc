@@ -605,4 +605,109 @@ INSTANTIATE_TEST_SUITE_P(Schedulers, FlushFaultTest, testing::Bool(),
                            return std::string(info.param ? "Sim" : "Inline");
                          });
 
+// --- A background error while an LDC merge waits on the device --------------
+
+// Wraps every WAL file; its Sync fails while `fail_sync` is set.
+class WalSyncFaultEnv : public EnvWrapper {
+ public:
+  explicit WalSyncFaultEnv(Env* target) : EnvWrapper(target) {}
+
+  Status NewWritableFile(const std::string& f, WritableFile** r) override {
+    return Wrap(f, EnvWrapper::NewWritableFile(f, r), r);
+  }
+  Status NewWritableFile(const std::string& f, WriteHint hint,
+                         WritableFile** r) override {
+    return Wrap(f, EnvWrapper::NewWritableFile(f, hint, r), r);
+  }
+
+  bool fail_sync = false;
+
+ private:
+  class File : public WritableFile {
+   public:
+    File(const WalSyncFaultEnv* env, WritableFile* target)
+        : env_(env), target_(target) {}
+    ~File() override { delete target_; }
+    Status Append(const Slice& data) override {
+      return target_->Append(data);
+    }
+    Status Close() override { return target_->Close(); }
+    Status Flush() override { return target_->Flush(); }
+    Status Sync() override {
+      if (env_->fail_sync) return Status::IOError("injected WAL sync failure");
+      return target_->Sync();
+    }
+
+   private:
+    const WalSyncFaultEnv* const env_;
+    WritableFile* const target_;
+  };
+
+  Status Wrap(const std::string& f, Status s, WritableFile** r) {
+    if (s.ok() && f.size() > 4 && f.compare(f.size() - 4, 4, ".log") == 0) {
+      *r = new File(this, *r);
+    }
+    return s;
+  }
+};
+
+// Counts the LDC merges that start once the WAL fault is armed.
+class LateMergeCounter : public EventListener {
+ public:
+  explicit LateMergeCounter(const WalSyncFaultEnv* env) : env_(env) {}
+  void OnCompactionBegin(const CompactionJobInfo& info) override {
+    if (env_->fail_sync && info.style == CompactionStyle::kLdc) late_merges++;
+  }
+  int late_merges = 0;
+
+ private:
+  const WalSyncFaultEnv* const env_;
+};
+
+// A failed WAL sync sets the background error while the simulated device
+// still holds a claimed LDC merge. Aborting the queued work must leave that
+// merge's claim intact, WaitForIdle must return the error instead of
+// waiting for work that can no longer run, and the DB must close cleanly
+// (its destructor drains the device, so the merge starts and aborts).
+TEST(SimBackgroundErrorTest, WalSyncFailureWhileMergeIsOnTheDevice) {
+  for (int puts : {2500, 2800, 3200}) {
+    SCOPED_TRACE("puts=" + std::to_string(puts));
+    std::unique_ptr<Env> mem(NewMemEnv());
+    WalSyncFaultEnv env(mem.get());
+    LateMergeCounter listener(&env);
+    SsdModel ssd;
+    SimContext sim(ssd);  // Must outlive the DB (its destructor drains it).
+    Options options;
+    options.env = &env;
+    options.create_if_missing = true;
+    options.compaction_style = CompactionStyle::kLdc;
+    options.write_buffer_size = 16 * 1024;
+    options.max_file_size = 16 * 1024;
+    options.level1_max_bytes = 64 * 1024;
+    options.listeners.push_back(&listener);
+    options.sim = &sim;
+    DB* raw = nullptr;
+    ASSERT_TRUE(DB::Open(options, "/db", &raw).ok());
+    std::unique_ptr<DB> db(raw);
+
+    Random rng(301);
+    const std::string value(100, 'v');
+    for (int i = 0; i < puts; i++) {
+      ASSERT_TRUE(
+          db->Put(WriteOptions(), MakeKey(rng.Uniform(2000)), value).ok());
+    }
+    env.fail_sync = true;
+    WriteOptions sync;
+    sync.sync = true;
+    const Status failed = db->Put(sync, MakeKey(0), value);
+    ASSERT_TRUE(failed.IsIOError()) << failed.ToString();
+
+    Status idle;
+    RunWithWatchdog(30, [&] { idle = db->WaitForIdle(); });
+    EXPECT_EQ(failed.ToString(), idle.ToString());
+    db.reset();
+    EXPECT_GT(listener.late_merges, 0) << "no merge was on the device";
+  }
+}
+
 }  // namespace ldc

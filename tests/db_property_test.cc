@@ -273,4 +273,57 @@ INSTANTIATE_TEST_SUITE_P(
              (std::get<1>(info.param) ? "Sim" : "Inline");
     });
 
+// ---- Simulator runs report their jobs ---------------------------------------
+
+// The simulator runs the claimed jobs through the same code as the thread
+// pool, so it counts them the same way: each flush, compaction and LDC merge
+// is one work unit, none is left running, and an LDC run has had one merge
+// at a time on the device.
+class SimJobCountersTest : public testing::TestWithParam<CompactionStyle> {};
+
+TEST_P(SimJobCountersTest, EveryJobIsOneWorkUnit) {
+  std::unique_ptr<Env> env(NewMemEnv());
+  Statistics stats;
+  SimContext sim{SsdModel()};  // Must outlive the DB (its destructor drains).
+  Options options;
+  options.env = env.get();
+  options.create_if_missing = true;
+  options.compaction_style = GetParam();
+  options.write_buffer_size = 16 * 1024;
+  options.max_file_size = 16 * 1024;
+  options.level1_max_bytes = 64 * 1024;
+  options.fan_out = 4;
+  options.statistics = &stats;
+  options.sim = &sim;
+  DB* raw = nullptr;
+  ASSERT_TRUE(DB::Open(options, "/db", &raw).ok());
+  std::unique_ptr<DB> db(raw);
+
+  std::string value;
+  for (int i = 0; i < 10000; i++) {
+    MakeValue(i % 1000, i, 200, &value);
+    ASSERT_TRUE(db->Put(WriteOptions(), MakeKey(i % 1000), value).ok());
+  }
+  ASSERT_TRUE(db->WaitForIdle().ok());
+
+  const uint64_t merges = stats.Get(kCompactions) + stats.Get(kLdcMerges);
+  EXPECT_GT(stats.Get(kFlushes), 0u);
+  EXPECT_GT(merges, 0u);
+  EXPECT_EQ(stats.Get(kFlushes) + merges, stats.Get(kBgWorkUnits));
+  EXPECT_EQ(0u, stats.GetGauge(kBgJobsRunning));
+  EXPECT_EQ(0u, stats.GetGauge(kLdcMergesRunning));
+  EXPECT_EQ(0u, stats.Get(kBgJobsScheduled));  // No Env::Schedule call.
+  std::string parallel;
+  ASSERT_TRUE(db->GetProperty("ldc.parallel-merges", &parallel));
+  EXPECT_EQ(GetParam() == CompactionStyle::kLdc ? "1" : "0", parallel);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Styles, SimJobCountersTest,
+    testing::Values(CompactionStyle::kUdc, CompactionStyle::kLdc,
+                    CompactionStyle::kTiered),
+    [](const testing::TestParamInfo<CompactionStyle>& info) {
+      return StyleName(info.param);
+    });
+
 }  // namespace ldc
