@@ -70,9 +70,17 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Background merges install new versions; the reads below take no lock,
+  // so let the tree settle first.
+  s = db->WaitForIdle();
+  if (!s.ok()) {
+    std::fprintf(stderr, "background work failed: %s\n",
+                 s.ToString().c_str());
+    return 1;
+  }
   DBImpl* impl = static_cast<DBImpl*>(db.get());
   VersionSet* versions = impl->TEST_versions();
-  const LdcLinkRegistry* registry = versions->registry();
+  const LdcLinkState& ldc = versions->current()->links();
 
   std::printf("\n=== %s (%s) ===\n", path.c_str(),
               style == CompactionStyle::kUdc ? "UDC" : "LDC");
@@ -82,14 +90,14 @@ int main(int argc, char** argv) {
   db->GetProperty("ldc.sstables", &sstables);
   std::printf("%s\n", sstables.c_str());
 
-  if (style == CompactionStyle::kLdc && registry->FrozenFileCount() > 0) {
+  if (style == CompactionStyle::kLdc && ldc.FrozenFileCount() > 0) {
     std::printf("--- slice links (lower file <- frozen slices, newest "
                 "first) ---\n");
-    for (const auto& kvp : registry->all_links()) {
+    for (const auto& kvp : ldc.links) {
       std::printf(" lower %06llu (%d links, %.1f KB linked):\n",
                   static_cast<unsigned long long>(kvp.first),
-                  registry->LinkCount(kvp.first),
-                  registry->LinkedBytes(kvp.first) / 1024.0);
+                  ldc.LinkCount(kvp.first),
+                  ldc.LinkedBytes(kvp.first) / 1024.0);
       for (auto it = kvp.second.rbegin(); it != kvp.second.rend(); ++it) {
         const SliceLinkMeta& link = *it;
         std::printf("   <- frozen %06llu seq=%llu  [%s .. %s]  ~%.1f KB\n",

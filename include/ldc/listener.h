@@ -3,9 +3,12 @@
 // frozen-file reclamation, and write stalls. Register listeners via
 // Options::listeners before DB::Open; the DB invokes them synchronously on
 // the thread performing the work. Begin callbacks fire just before the data
-// work starts; Completed callbacks fire once the job has succeeded (for
-// flushes this is after the output table is built — during recovery the
-// version edit carrying it may be installed slightly later).
+// work starts; Completed callbacks fire once the job's result is installed
+// (a flush run while recovering the WAL reports after DB::Open installs
+// its table). OnFrozenFileReclaimed fires once for each frozen file whose
+// last slice link an LDC merge consumed, after that merge's
+// OnCompactionCompleted and OnLdcMerge, with the merge's completion time;
+// reopening a DB reports no reclaim again.
 //
 // Callbacks must not call back into the DB and should return quickly: they
 // run inline with flush/compaction work. The info structs are only valid

@@ -55,7 +55,7 @@ void BuildLdcLinkPlan(VersionSet* vset, TableCache* table_cache,
 
   const InternalKeyComparator* icmp = vset->icmp();
   const Comparator* ucmp = icmp->user_comparator();
-  const LdcLinkRegistry* registry = vset->registry();
+  const LdcLinkState& ldc = v->links();
 
   // Find the first lower file whose responsibility range can intersect the
   // upper file: responsibility of file i ends at file[i].largest, so the
@@ -66,9 +66,6 @@ void BuildLdcLinkPlan(VersionSet* vset, TableCache* table_cache,
     // the last file's responsibility extends to +inf.
     first = lower_files.size() - 1;
   }
-
-  const uint64_t link_base_seq = 0;  // filled by the caller via NextLinkSeq
-  (void)link_base_seq;
 
   uint64_t prev_offset =
       ApproximateOffset(table_cache, upper.number, upper.file_size,
@@ -119,9 +116,9 @@ void BuildLdcLinkPlan(VersionSet* vset, TableCache* table_cache,
         end_offset > prev_offset ? end_offset - prev_offset : 0;
     prev_offset = end_offset;
 
-    slice.resulting_link_count = registry->LinkCount(lower->number) + 1;
+    slice.resulting_link_count = ldc.LinkCount(lower->number) + 1;
     slice.resulting_linked_bytes =
-        registry->LinkedBytes(lower->number) + slice.link.estimated_bytes;
+        ldc.LinkedBytes(lower->number) + slice.link.estimated_bytes;
     plan->slices.push_back(slice);
 
     // Stop once this lower file's responsibility covers the rest of the

@@ -261,6 +261,7 @@ void DBImpl::RemoveObsoleteFiles() {
   // Make a set of all of the live files
   std::set<uint64_t> live = pending_outputs_;
   versions_->AddLiveFiles(&live);
+  obsolete_files_pinned_ = versions_->HasOlderVersions();
 
   std::vector<std::string> filenames;
   env_->GetChildren(dbname_, &filenames);  // Ignoring errors on purpose
@@ -791,7 +792,6 @@ void DBImpl::PublishReadState() {
   if (imm_ != nullptr) imm_->Ref();
   state->version = versions_->current();
   state->version->Ref();
-  state->published_sequence = versions_->LastSequence();
   state->refs.store(1, std::memory_order_relaxed);  // Publish bias.
 
   const uint64_t raw = reinterpret_cast<uint64_t>(state);
@@ -1085,7 +1085,7 @@ void DBImpl::FillJobQueue() {
         BackgroundJob job;
         job.kind = kJobLdcMerge;
         job.lower_file = lower;
-        job.bytes = versions_->registry()->LinkedBytes(lower);
+        job.bytes = versions_->current()->links().LinkedBytes(lower);
         int level = -1;
         FileMetaData* f = nullptr;
         if (versions_->current()->FindFileByNumber(lower, &level, &f)) {
@@ -1694,15 +1694,15 @@ bool DBImpl::DoLdcLinkWork() {
   // the configured fraction of live data, force the most-linked lower file
   // to merge even before it reaches T_s.
   if (options_.frozen_space_limit_ratio > 0) {
-    const uint64_t frozen = versions_->registry()->TotalFrozenBytes();
+    const LdcLinkState& ldc = versions_->current()->links();
+    const uint64_t frozen = ldc.TotalFrozenBytes();
     const int64_t live = versions_->TotalLiveBytes();
     if (live > 0 && frozen > static_cast<uint64_t>(
                                  live * options_.frozen_space_limit_ratio)) {
       int count = 0;
       // Skip lower files whose merge is already claimed by a running job;
       // re-enqueueing them would be a no-op anyway.
-      uint64_t lower = versions_->registry()->MostLinkedLowerFile(
-          &count, &merges_in_flight_);
+      uint64_t lower = ldc.MostLinkedLowerFile(&count, &merges_in_flight_);
       if (lower != 0) {
         EnqueueLdcMerge(lower);
       }
@@ -1748,7 +1748,7 @@ bool DBImpl::DoLdcLinkWork() {
     // Assign link sequence numbers (monotonic; they define read priority
     // among slices of the same lower file).
     for (LdcSlicePlan& slice : plan.slices) {
-      slice.link.link_seq = versions_->registry()->NextLinkSeq();
+      slice.link.link_seq = versions_->NextLinkSeq();
     }
     ApplyLinkPlanToEdit(plan, &edit);
     edit.SetCompactPointer(level, upper->largest);
@@ -1822,7 +1822,7 @@ void DBImpl::DoLdcMerge(uint64_t lower_file_number) {
   // loop runs with the lock released. Concurrent link work may run while
   // this merge is unlocked, but DoLdcLinkWork defers any plan that would
   // attach a slice to this lower file (it is claimed in merges_in_flight_),
-  // so the live registry's links for this file and this snapshot agree
+  // so the current version's links for this file and this snapshot agree
   // until the install consumes them.
   const std::vector<SliceLinkMeta>* links =
       base->links().Links(lower_file_number);
@@ -1868,18 +1868,19 @@ void DBImpl::DoLdcMerge(uint64_t lower_file_number) {
   plan.max_output_bytes = options_.max_file_size;
   // Replace the lower file with the merged outputs at the same level,
   // consume every link, and reclaim unreferenced frozen files (Algorithm 1,
-  // lines 17-22). The reclaimable set is computed against the LIVE registry
-  // under mutex_ at install time (installs are serialized), so with
+  // lines 17-22). The reclaimable set is computed against the current
+  // version under mutex_ at install time (installs are serialized), so with
   // concurrent merges the frozen-table refcounts decrement in install order
   // and only the last consumer reclaims.
-  std::vector<uint64_t> reclaimable;
+  std::vector<FrozenFileMeta> reclaimable;
   plan.consume_inputs = [&, level](VersionEdit* edit) {
-    reclaimable =
-        versions_->registry()->FrozenReclaimableAfterConsume(lower_file_number);
+    const LdcLinkState& ldc = versions_->current()->links();
     edit->RemoveFile(level, lower_file_number);
     edit->ConsumeLinks(lower_file_number);
-    for (uint64_t frozen_number : reclaimable) {
-      edit->RemoveFrozenFile(frozen_number);
+    for (uint64_t number :
+         ldc.FrozenReclaimableAfterConsume(lower_file_number)) {
+      edit->RemoveFrozenFile(number);
+      reclaimable.push_back(*ldc.Frozen(number));
     }
   };
   plan.on_installed = [&, level](const CompactionJobInfo& info) {
@@ -1898,6 +1899,14 @@ void DBImpl::DoLdcMerge(uint64_t lower_file_number) {
     minfo.micros = info.micros;
     minfo.duration_micros = info.duration_micros;
     NotifyLdcMerge(minfo);
+    for (const FrozenFileMeta& f : reclaimable) {
+      FrozenFileReclaimedInfo rinfo;
+      rinfo.db_name = dbname_;
+      rinfo.file_number = f.number;
+      rinfo.file_size = f.file_size;
+      rinfo.micros = info.micros;  // The merge's completion time.
+      NotifyFrozenFileReclaimed(rinfo);
+    }
   };
   plan.unpin = [base] { base->Unref(); };
   RunMerge(&plan);
@@ -1930,11 +1939,6 @@ Iterator* DBImpl::NewInternalIterator(const ReadOptions& options,
       &internal_comparator_, &list[0], static_cast<int>(list.size()));
   internal_iter->RegisterCleanup(&DBImpl::CleanupIteratorState, this, state);
   return internal_iter;
-}
-
-Iterator* DBImpl::TEST_NewInternalIterator() {
-  SequenceNumber ignored;
-  return NewInternalIterator(ReadOptions(), &ignored);
 }
 
 int DBImpl::TEST_NumLevelFiles(int level) const {
@@ -2434,8 +2438,13 @@ Status DBImpl::WaitForIdle() {
     MaybeScheduleCompaction();
     const bool pending = bg_jobs_scheduled_ > 0 || !job_queue_.empty() ||
                          imm_ != nullptr || !pending_merges_.empty();
-    if (!pending || !bg_error_.ok() ||
-        shutting_down_.load(std::memory_order_acquire)) {
+    if (!bg_error_.ok() || shutting_down_.load(std::memory_order_acquire)) {
+      break;
+    }
+    if (!pending) {
+      // Jobs sweep only when they end, so a table that a reader's version
+      // pinned during the last sweep would stay until the next job.
+      if (obsolete_files_pinned_) RemoveObsoleteFiles();
       break;
     }
     if (!WaitForBackgroundJob()) {
@@ -2479,7 +2488,7 @@ bool DBImpl::GetProperty(const Slice& property, std::string* value) {
     if (n > 0) result.append(buf, std::min(sizeof(buf) - 1, size_t(n)));
     // Frozen bytes attributed to the level each file was frozen from.
     uint64_t frozen_by_level[config::kMaxNumLevels] = {};
-    for (const auto& kvp : versions_->registry()->all_frozen()) {
+    for (const auto& kvp : versions_->current()->links().frozen) {
       const int l = kvp.second.origin_level;
       if (l >= 0 && l < config::kMaxNumLevels) {
         frozen_by_level[l] += kvp.second.file_size;
@@ -2588,11 +2597,11 @@ bool DBImpl::GetProperty(const Slice& property, std::string* value) {
     w.KV("bytes", versions_->flush_bytes());
     w.KV("micros", versions_->flush_micros());
     w.EndObject();
+    const LdcLinkState& ldc = versions_->current()->links();
     w.Key("frozen");
     w.BeginObject();
-    w.KV("files", static_cast<uint64_t>(
-                      versions_->registry()->FrozenFileCount()));
-    w.KV("bytes", versions_->registry()->TotalFrozenBytes());
+    w.KV("files", static_cast<uint64_t>(ldc.FrozenFileCount()));
+    w.KV("bytes", ldc.TotalFrozenBytes());
     w.EndObject();
     w.KV("slice_link_threshold", EffectiveSliceThresholdLocked());
     w.Key("background");
@@ -2619,14 +2628,14 @@ bool DBImpl::GetProperty(const Slice& property, std::string* value) {
     *value = versions_->current()->DebugString();
     return true;
   } else if (in == "frozen-bytes") {
-    *value = NumberToString(versions_->registry()->TotalFrozenBytes());
+    *value = NumberToString(versions_->current()->links().TotalFrozenBytes());
     return true;
   } else if (in == "frozen-files") {
-    *value = NumberToString(versions_->registry()->FrozenFileCount());
+    *value = NumberToString(versions_->current()->links().FrozenFileCount());
     return true;
   } else if (in == "total-bytes") {
     *value = NumberToString(static_cast<uint64_t>(versions_->TotalLiveBytes()) +
-                            versions_->registry()->TotalFrozenBytes());
+                            versions_->current()->links().TotalFrozenBytes());
     return true;
   } else if (in == "slice-link-threshold") {
     *value = NumberToString(EffectiveSliceThresholdLocked());
@@ -2701,7 +2710,7 @@ void DBImpl::GetApproximateSizes(const Range* range, int n, uint64_t* sizes) {
         total += f->file_size;
       }
     }
-    for (const auto& kvp : versions_->registry()->all_links()) {
+    for (const auto& kvp : v->links().links) {
       for (const SliceLinkMeta& link : kvp.second) {
         if (ucmp->Compare(link.largest.user_key(), range[i].start) < 0)
           continue;
@@ -2875,18 +2884,6 @@ Status DB::Open(const Options& options, const std::string& dbname, DB** dbptr) {
     // The recovered memtables' flushes count once their tables are live.
     for (const FlushJobInfo& info : flushes) impl->ReportFlush(info);
     impl->RemoveObsoleteFiles();
-    // Register the reclaim observer only now: during manifest recovery the
-    // registry replays historical RemoveFrozenFile records, which must not
-    // fire events for files reclaimed in earlier incarnations.
-    impl->versions_->registry()->SetReclaimObserver(
-        [impl](const FrozenFileMeta& f) {
-          FrozenFileReclaimedInfo info;
-          info.db_name = impl->dbname_;
-          info.file_number = f.number;
-          info.file_size = f.file_size;
-          info.micros = impl->env_->NowMicros();
-          impl->NotifyFrozenFileReclaimed(info);
-        });
     Log(impl->options_.info_log, "DB opened: %s (compaction style: %s)",
         dbname.c_str(), CompactionStyleName(impl->options_.compaction_style));
     // LDC: merge triggers queued before the previous shutdown were only in
@@ -2894,7 +2891,7 @@ Status DB::Open(const Options& options, const std::string& dbname, DB** dbptr) {
     // or above T_s make progress without waiting for another link.
     if (impl->options_.compaction_style == CompactionStyle::kLdc) {
       const int threshold = impl->EffectiveSliceThresholdLocked();
-      for (const auto& kvp : impl->versions_->registry()->all_links()) {
+      for (const auto& kvp : impl->versions_->current()->links().links) {
         if (static_cast<int>(kvp.second.size()) >= threshold) {
           impl->EnqueueLdcMerge(kvp.first);
         }

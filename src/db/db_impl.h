@@ -76,11 +76,6 @@ class DBImpl : public DB {
   // Force current memtable contents to be flushed.
   Status TEST_CompactMemTable();
 
-  // Return an internal iterator over the current state of the database.
-  // The keys of this iterator are internal keys (see dbformat.h).
-  // The returned iterator should be deleted when no longer needed.
-  Iterator* TEST_NewInternalIterator();
-
   int TEST_NumLevelFiles(int level) const;
   VersionSet* TEST_versions() { return versions_; }
 
@@ -106,11 +101,6 @@ class DBImpl : public DB {
     MemTable* mem = nullptr;
     MemTable* imm = nullptr;  // may be null
     Version* version = nullptr;
-    // LastSequence() at publish time. Debug/trace only — readers take
-    // their snapshot from the live atomic VersionSet::LastSequence() so
-    // a Get that begins after a Put returns always sees that Put even if
-    // no publish happened in between.
-    uint64_t published_sequence = 0;
     // Internal reference count. Starts at 1 (the "publish bias", dropped
     // on retirement); each acquired reader holds exactly one.
     std::atomic<int64_t> refs{0};
@@ -358,6 +348,10 @@ class DBImpl : public DB {
   // Set of table files to protect from deletion because they are
   // part of ongoing compactions.
   std::set<uint64_t> pending_outputs_;
+  // True when the last RemoveObsoleteFiles ran while a version older than
+  // current was referenced (say, by an iterator): the tables only that
+  // version held are still on disk, and WaitForIdle sweeps again.
+  bool obsolete_files_pinned_ = false;
 
   // Jobs handed to an executor and not yet finished. Without the simulator:
   // BGWork calls scheduled or running (at most max_background_jobs). With

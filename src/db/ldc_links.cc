@@ -10,60 +10,29 @@ const std::shared_ptr<const LdcLinkState>& LdcLinkState::Empty() {
   return empty;
 }
 
-void LdcLinkRegistry::Apply(const VersionEdit& edit) {
-  if (edit.frozen_files_.empty() && edit.slice_links_.empty() &&
-      edit.consumed_links_.empty() && edit.removed_frozen_.empty()) {
-    return;  // No LDC records: keep sharing the current state.
-  }
-
-  // Copy-on-write: build the successor state from the current one, then
-  // publish it. Readers holding the old shared_ptr keep a consistent view.
-  auto next = std::make_shared<LdcLinkState>(*state_);
-  auto& links_ = next->links;
-  auto& frozen_ = next->frozen;
-
+void LdcLinkState::Apply(const VersionEdit& edit) {
   for (const FrozenFileMeta& f : edit.frozen_files_) {
-    assert(frozen_.find(f.number) == frozen_.end());
-    FrozenFileMeta meta = f;
+    FrozenFileMeta& meta = frozen[f.number];
+    meta = f;
     meta.refs = 0;  // Incremented by the slice links below.
-    frozen_[f.number] = meta;
   }
   for (const SliceLinkMeta& link : edit.slice_links_) {
-    links_[link.lower_file_number].push_back(link);
-    auto it = frozen_.find(link.frozen_file_number);
-    assert(it != frozen_.end());
-    if (it != frozen_.end()) {
-      it->second.refs++;
-    }
-    if (link.link_seq >= next_link_seq_) {
-      next_link_seq_ = link.link_seq + 1;
-    }
+    links[link.lower_file_number].push_back(link);
+    auto it = frozen.find(link.frozen_file_number);
+    if (it != frozen.end()) it->second.refs++;
   }
   for (uint64_t lower : edit.consumed_links_) {
-    auto it = links_.find(lower);
-    if (it == links_.end()) continue;
+    auto it = links.find(lower);
+    if (it == links.end()) continue;
     for (const SliceLinkMeta& link : it->second) {
-      auto fit = frozen_.find(link.frozen_file_number);
-      assert(fit != frozen_.end());
-      if (fit != frozen_.end()) {
-        fit->second.refs--;
-        assert(fit->second.refs >= 0);
-      }
+      auto fit = frozen.find(link.frozen_file_number);
+      if (fit != frozen.end()) fit->second.refs--;
     }
-    links_.erase(it);
+    links.erase(it);
   }
   for (uint64_t number : edit.removed_frozen_) {
-    auto it = frozen_.find(number);
-    assert(it == frozen_.end() || it->second.refs == 0);
-    if (it != frozen_.end()) {
-      if (reclaim_observer_) {
-        reclaim_observer_(it->second);
-      }
-      frozen_.erase(it);
-    }
+    frozen.erase(number);
   }
-
-  state_ = std::move(next);
 }
 
 int LdcLinkState::LinkCount(uint64_t lower_file_number) const {

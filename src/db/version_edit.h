@@ -124,7 +124,7 @@ class VersionEdit {
 
  private:
   friend class VersionSet;
-  friend class LdcLinkRegistry;
+  friend struct LdcLinkState;
 
   typedef std::set<std::pair<int, uint64_t>> DeletedFileSet;
 

@@ -669,6 +669,7 @@ void Version::GetOverlappingInputs(int level, const InternalKey* begin,
 }
 
 std::string Version::DebugString() const {
+  const LdcLinkState& ldc = links();
   std::string r;
   for (int level = 0; level < vset_->num_levels_; level++) {
     // E.g.,
@@ -689,17 +690,17 @@ std::string Version::DebugString() const {
       r.append(" .. ");
       r.append(files[i]->largest.DebugString());
       r.append("]");
-      const int links = vset_->registry_.LinkCount(files[i]->number);
-      if (links > 0) {
+      const int link_count = ldc.LinkCount(files[i]->number);
+      if (link_count > 0) {
         r.append(" links=");
-        AppendNumberTo(&r, links);
+        AppendNumberTo(&r, link_count);
       }
       r.append("\n");
     }
   }
-  if (vset_->registry_.FrozenFileCount() > 0) {
+  if (ldc.FrozenFileCount() > 0) {
     r.append("--- frozen ---\n");
-    for (const auto& kvp : vset_->registry_.all_frozen()) {
+    for (const auto& kvp : ldc.frozen) {
       r.push_back(' ');
       AppendNumberTo(&r, kvp.second.number);
       r.push_back(':');
@@ -712,9 +713,55 @@ std::string Version::DebugString() const {
   return r;
 }
 
+// Refuses a version whose LDC metadata breaks the invariants of the tree
+// (paper §III-B): every slice link hangs off a file of the version and
+// reaches a frozen file, and every frozen file is in no level and is
+// reached by `refs` links, at least one. Compares file numbers only, never
+// keys. LdcLinkState::Apply counts a link in its frozen file's `refs` only
+// when that file exists, so a link to a missing frozen file makes the refs
+// add up to fewer than the links; only then are the links walked, to name
+// it.
+static Status CheckLdcLinks(const Version& v) {
+  const LdcLinkState& ldc = v.links();
+  int level = -1;
+  FileMetaData* file = nullptr;
+  size_t links = 0;
+  for (const auto& kvp : ldc.links) {
+    if (!v.FindFileByNumber(kvp.first, &level, &file)) {
+      return Status::Corruption("slice link on a missing lower file",
+                                NumberToString(kvp.first));
+    }
+    links += kvp.second.size();
+  }
+  size_t refs = 0;
+  for (const auto& kvp : ldc.frozen) {
+    if (v.FindFileByNumber(kvp.first, &level, &file)) {
+      return Status::Corruption("frozen file is also a level file",
+                                NumberToString(kvp.first));
+    }
+    if (kvp.second.refs <= 0) {
+      return Status::Corruption("frozen file has no link left",
+                                NumberToString(kvp.first));
+    }
+    refs += kvp.second.refs;
+  }
+  if (refs == links) return Status::OK();
+  for (const auto& kvp : ldc.links) {
+    for (const SliceLinkMeta& link : kvp.second) {
+      if (ldc.Frozen(link.frozen_file_number) == nullptr) {
+        return Status::Corruption("slice link to a missing frozen file",
+                                  NumberToString(link.frozen_file_number));
+      }
+    }
+  }
+  return Status::Corruption("frozen file refs differ from their links");
+}
+
 // A helper class so we can efficiently apply a whole sequence
 // of edits to a particular state without creating intermediate
-// Versions that contain full copies of the intermediate state.
+// Versions that contain full copies of the intermediate state. It applies
+// an edit's file records and its LDC records together; LogAndApply and
+// Recover both build every Version through it.
 class VersionSet::Builder {
  private:
   // Helper to sort by v->files_[file_number].smallest
@@ -741,6 +788,9 @@ class VersionSet::Builder {
   VersionSet* vset_;
   Version* base_;
   LevelState levels_[config::kMaxNumLevels];
+  // The LDC state being built: null until the first LDC record, which
+  // copies the base version's state. Until then the base state is shared.
+  std::shared_ptr<LdcLinkState> links_;
 
  public:
   // Initialize a builder with the files from *base and other info from *vset
@@ -798,10 +848,25 @@ class VersionSet::Builder {
       levels_[level].deleted_files.erase(f->number);
       levels_[level].added_files->insert(f);
     }
+
+    // LDC records: freeze, link, consume, reclaim.
+    if (edit->frozen_files_.empty() && edit->slice_links_.empty() &&
+        edit->consumed_links_.empty() && edit->removed_frozen_.empty()) {
+      return;
+    }
+    if (links_ == nullptr) {
+      links_ = std::make_shared<LdcLinkState>(base_->links());
+    }
+    links_->Apply(*edit);
+    for (const SliceLinkMeta& link : edit->slice_links_) {
+      vset_->next_link_seq_ =
+          std::max(vset_->next_link_seq_, link.link_seq + 1);
+    }
   }
 
-  // Save the current state in *v.
+  // Save the current state in *v. Called once, after the last Apply.
   void SaveTo(Version* v) {
+    v->link_state_ = links_ != nullptr ? links_ : base_->link_state_;
     BySmallestKey cmp;
     cmp.internal_comparator = &vset_->icmp_;
     for (int level = 0; level < config::kMaxNumLevels; level++) {
@@ -931,11 +996,17 @@ Status VersionSet::LogAndApply(VersionEdit* edit) {
     builder.Apply(edit);
     builder.SaveTo(v);
   }
+  Finalize(v);
+  // Refuse a broken link state before anything reaches the manifest.
+  Status s = CheckLdcLinks(*v);
+  if (!s.ok()) {
+    delete v;
+    return s;
+  }
 
   // Initialize new descriptor log file if necessary by creating
   // a temporary file that contains a snapshot of the current version.
   std::string new_manifest_file;
-  Status s;
   if (descriptor_log_ == nullptr) {
     // No reason to unlock *mu here since we only hit this path in the
     // first call to LogAndApply (when opening the database).
@@ -966,10 +1037,7 @@ Status VersionSet::LogAndApply(VersionEdit* edit) {
 
   // Install the new version
   if (s.ok()) {
-    // Apply the LDC metadata after the durable write succeeded.
-    registry_.Apply(*edit);
     AppendVersion(v);
-    Finalize(v);
     log_number_ = edit->log_number_;
     prev_log_number_ = edit->prev_log_number_;
   } else {
@@ -1050,7 +1118,6 @@ Status VersionSet::Recover(bool* save_manifest) {
 
       if (s.ok()) {
         builder.Apply(&edit);
-        registry_.Apply(edit);
       }
 
       if (edit.has_log_number_) {
@@ -1097,8 +1164,13 @@ Status VersionSet::Recover(bool* save_manifest) {
   if (s.ok()) {
     Version* v = new Version(this);
     builder.SaveTo(v);
-    // Install recovered version
     Finalize(v);
+    s = CheckLdcLinks(*v);
+    if (!s.ok()) {
+      delete v;
+      return s;
+    }
+    // Install recovered version
     AppendVersion(v);
     manifest_file_number_ = next_file;
     next_file_number_ = next_file + 1;
@@ -1130,10 +1202,7 @@ double VersionSet::MaxBytesForLevel(int level) const {
 }
 
 void VersionSet::Finalize(Version* v) {
-  // Pair the version with the LDC metadata snapshot it was installed with
-  // (Finalize runs after registry_.Apply in both LogAndApply and Recover),
-  // and build the file-number index for O(1) lookups.
-  v->link_state_ = registry_.snapshot();
+  // The file-number index, for O(1) lookups.
   v->file_index_.clear();
   for (int level = 0; level < num_levels_; level++) {
     for (FileMetaData* f : v->files_[level]) {
@@ -1202,10 +1271,11 @@ Status VersionSet::WriteSnapshot(log::Writer* log) {
 
   // Save LDC state: frozen files first, then their links (Apply() relies
   // on frozen entries existing when links are added).
-  for (const auto& kvp : registry_.all_frozen()) {
+  const LdcLinkState& ldc = current_->links();
+  for (const auto& kvp : ldc.frozen) {
     edit.FreezeFile(kvp.second);
   }
-  for (const auto& kvp : registry_.all_links()) {
+  for (const auto& kvp : ldc.links) {
     for (const SliceLinkMeta& link : kvp.second) {
       edit.AddSliceLink(link);
     }
@@ -1283,7 +1353,6 @@ void VersionSet::AddLiveFiles(std::set<uint64_t>* live) {
     // readers could lose slice data.
     v->links().AddLiveFiles(live);
   }
-  registry_.AddLiveFiles(live);
 }
 
 // Stores the minimal range that covers all entries in inputs in
@@ -1506,8 +1575,9 @@ bool VersionSet::PickLdcLinkTarget(int* level_out, FileMetaData** file_out,
   // linked file would require slices-of-slices (paper §III-D keeps LDC
   // simple by forbidding it). For level 0 we always pick the oldest file
   // (smallest file number) so that freeze order matches data age.
-  auto has_links = [this](const FileMetaData* f) {
-    return registry_.HasLinks(f->number);
+  const LdcLinkState& ldc = current_->links();
+  auto has_links = [&ldc](const FileMetaData* f) {
+    return ldc.HasLinks(f->number);
   };
 
   FileMetaData* picked = nullptr;
@@ -1543,7 +1613,7 @@ bool VersionSet::PickLdcLinkTarget(int* level_out, FileMetaData** file_out,
     int best_count = 0;
     uint64_t best = 0;
     for (FileMetaData* f : current_->files_[level + 1]) {
-      int count = registry_.LinkCount(f->number);
+      int count = ldc.LinkCount(f->number);
       if (count > best_count) {
         best_count = count;
         best = f->number;
@@ -1552,7 +1622,7 @@ bool VersionSet::PickLdcLinkTarget(int* level_out, FileMetaData** file_out,
     // Files in `level` itself can also be lower-halves of links from
     // level-1; merging them consumes their links too.
     for (FileMetaData* f : files) {
-      int count = registry_.LinkCount(f->number);
+      int count = ldc.LinkCount(f->number);
       if (count > best_count) {
         best_count = count;
         best = f->number;
@@ -1576,7 +1646,7 @@ std::string VersionSet::LevelSummary() const {
     result += buf;
   }
   result += "] frozen=";
-  AppendNumberTo(&result, registry_.FrozenFileCount());
+  AppendNumberTo(&result, current_->links().FrozenFileCount());
   return result;
 }
 

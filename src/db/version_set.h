@@ -3,13 +3,14 @@
 // around to provide a consistent view to live iterators.
 //
 // Each Version keeps track of a set of Table files per level, and — under
-// LDC — the snapshot of the frozen region and slice links it was installed
-// with. Below level 0 every read goes through one structure, the *read
-// group* of a file: the file plus each slice linked to it, the slice
-// bounded to its link range (paper §III-B3). Get is a one-key MultiGet that
-// probes one group per level; scans concatenate a level's groups
-// (NewGroupIterator); and an LDC merge consumes exactly one group. The
-// entire set of versions is maintained in a VersionSet.
+// LDC — the frozen region and slice links that match them (LdcLinkState).
+// VersionSet::Builder builds both from the same edits, so a Version is the
+// only owner of its LDC metadata. Below level 0 every read goes through one
+// structure, the *read group* of a file: the file plus each slice linked to
+// it, the slice bounded to its link range (paper §III-B3). Get is a one-key
+// MultiGet that probes one group per level; scans concatenate a level's
+// groups (NewGroupIterator); and an LDC merge consumes exactly one group.
+// The entire set of versions is maintained in a VersionSet.
 //
 // Version,VersionSet are thread-compatible, but require external
 // synchronization on all accesses — with two deliberate exceptions for
@@ -17,7 +18,7 @@
 // std::atomic with acquire/release ordering, and Version::Get /
 // Version::MultiGet / iterators may run without the DB mutex on any
 // Version the caller holds a reference to (a Version's file lists and link
-// snapshot are immutable after install).
+// state are immutable after install).
 
 #ifndef LDC_DB_VERSION_SET_H_
 #define LDC_DB_VERSION_SET_H_
@@ -162,12 +163,10 @@ class Version {
     return files_[level];
   }
 
-  // The immutable LDC link/frozen snapshot matching this version's file
-  // set, captured at install time. Readers use it instead of the live
-  // registry so a concurrent merge cannot mutate link state under them.
-  const LdcLinkState& links() const {
-    return link_state_ != nullptr ? *link_state_ : *LdcLinkState::Empty();
-  }
+  // The immutable LDC link/frozen state matching this version's file set,
+  // built from the same edits. A concurrent merge installs a new version
+  // and cannot change this one under its readers.
+  const LdcLinkState& links() const { return *link_state_; }
 
   // O(1) lookup of a table file by number across all levels (built by
   // VersionSet::Finalize). Returns true and fills *level / *file when the
@@ -195,6 +194,7 @@ class Version {
         next_(this),
         prev_(this),
         refs_(0),
+        link_state_(LdcLinkState::Empty()),
         compaction_score_(-1),
         compaction_level_(-1) {}
 
@@ -220,8 +220,7 @@ class Version {
   // Built once at install time (VersionSet::Finalize); immutable after.
   std::unordered_map<uint64_t, std::pair<int, FileMetaData*>> file_index_;
 
-  // LDC metadata snapshot paired with this version (may be null for the
-  // initial empty version; see links()).
+  // LDC metadata of this version (set by VersionSet::Builder::SaveTo).
   std::shared_ptr<const LdcLinkState> link_state_;
 
   // Level that should be compacted next and its compaction score.
@@ -256,6 +255,10 @@ class VersionSet {
 
   // Allocate and return a new file number
   uint64_t NewFileNumber() { return next_file_number_++; }
+
+  // Allocate and return a new slice link sequence number: monotonic, and
+  // past every link applied so far (recovery replays them all).
+  uint64_t NextLinkSeq() { return next_link_seq_++; }
 
   // Return the number of Table files at the specified level.
   int NumLevelFiles(int level) const;
@@ -333,18 +336,17 @@ class VersionSet {
     return current_->compaction_score_ >= 1;
   }
 
-  // Add all files listed in any live version, plus all frozen files, to
-  // *live.
+  // Add all files listed in any live version, plus the frozen files their
+  // links reach, to *live.
   void AddLiveFiles(std::set<uint64_t>* live);
+
+  // True while a version older than current() is still referenced, e.g.
+  // by a reader's iterator: the tables only it holds are not yet obsolete.
+  bool HasOlderVersions() const { return dummy_versions_.next_ != current_; }
 
   // Create an iterator that reads over the compaction inputs for "*c".
   // The caller should delete the iterator when no longer needed.
   Iterator* MakeInputIterator(Compaction* c);
-
-  // Recomputes compaction scores (called after registry-only changes that
-  // do not go through LogAndApply... all changes go through LogAndApply;
-  // exposed for tests).
-  void Finalize(Version* v);
 
   // --- Observability ---
 
@@ -368,8 +370,6 @@ class VersionSet {
   // byte (the paper's write-amplification metric, Fig. 7 / 12d).
   double CumulativeWriteAmplification() const;
 
-  LdcLinkRegistry* registry() { return &registry_; }
-  const LdcLinkRegistry* registry() const { return &registry_; }
   TableCache* table_cache() const { return table_cache_; }
   const Options* options() const { return options_; }
   const InternalKeyComparator* icmp() const { return &icmp_; }
@@ -383,7 +383,8 @@ class VersionSet {
   friend class Compaction;
   friend class Version;
 
-  bool ReuseManifest(const std::string& dbgname, const std::string& current);
+  // Builds v's file-number index and its compaction score.
+  void Finalize(Version* v);
 
   void GetRange(const std::vector<FileMetaData*>& inputs, InternalKey* smallest,
                 InternalKey* largest);
@@ -421,9 +422,8 @@ class VersionSet {
   // Either an empty string, or a valid InternalKey.
   std::string compact_pointer_[config::kMaxNumLevels];
 
-  // LDC frozen region + slice links (shared by all versions; every mutation
-  // travels in a VersionEdit).
-  LdcLinkRegistry registry_;
+  // Next slice link sequence number (see NextLinkSeq).
+  uint64_t next_link_seq_ = 1;
 
   // Cumulative observability counters (in-memory only; reset on reopen).
   CompactionStats compaction_stats_[config::kMaxNumLevels];

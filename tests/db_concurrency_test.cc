@@ -417,10 +417,10 @@ INSTANTIATE_TEST_SUITE_P(Styles, DBParallelJobsTest,
 
 // The threaded form of BlockCacheLiveDataTest (db_property_test.cc): four
 // background jobs delete tables while readers hold some of them pinned.
-// The block cache must never hold more than the table files that still
-// exist, and once the obsolete ones are deleted, no more than the live and
-// frozen table bytes. Each dying table erases its blocks under a
-// table-cache shard mutex, so TSan checks that lock order here too.
+// Once the readers are gone, WaitForIdle leaves exactly the live and frozen
+// tables on disk, and the block cache holds no more than their bytes. Each
+// dying table erases its blocks under a table-cache shard mutex, so TSan
+// checks that lock order here too.
 class BlockCacheLiveDataThreadedTest
     : public testing::TestWithParam<CompactionStyle> {};
 
@@ -468,6 +468,8 @@ TEST_P(BlockCacheLiveDataThreadedTest, CacheHoldsOnlyLiveTables) {
     });
   }
   for (auto& th : threads) th.join();
+  // The readers are gone, so WaitForIdle also deletes the tables that
+  // their versions pinned during the jobs' sweeps.
   ASSERT_TRUE(db->WaitForIdle().ok());
 
   std::vector<std::string> children;
@@ -480,19 +482,11 @@ TEST_P(BlockCacheLiveDataThreadedTest, CacheHoldsOnlyLiveTables) {
       file_bytes += size;
     }
   }
-  EXPECT_LE(cache->TotalCharge(), file_bytes);
-
-  // A table that a reader's version pinned during the last job's sweep is
-  // deleted only by the next job's, so flush once more with no reader.
-  for (int id = 0; id < 100; id++) {
-    ASSERT_TRUE(
-        db->Put(WriteOptions(), MakeKey(id), std::string(200, 'a')).ok());
-  }
-  ASSERT_TRUE(db->WaitForIdle().ok());
   std::string total;
   ASSERT_TRUE(db->GetProperty("ldc.total-bytes", &total));
   const uint64_t table_bytes = std::stoull(total);
   ASSERT_GT(table_bytes, 0u);
+  EXPECT_EQ(table_bytes, file_bytes);
   EXPECT_GT(cache->TotalCharge(), 0u);
   EXPECT_LE(cache->TotalCharge(), table_bytes);
   std::string value;

@@ -44,8 +44,10 @@ class DBLdcTest : public testing::Test {
   }
 
   DBImpl* impl() { return static_cast<DBImpl*>(db_.get()); }
-  LdcLinkRegistry* registry() {
-    return impl()->TEST_versions()->registry();
+  // The current version's LDC metadata. MemEnv runs background work
+  // inline, so no job installs a version while a test reads it.
+  const LdcLinkState& links() {
+    return impl()->TEST_versions()->current()->links();
   }
 
   // Writes `n` keys spread over `key_space`, medium values.
@@ -100,7 +102,7 @@ TEST_F(DBLdcTest, MergesTriggerAndReclaimFrozenFiles) {
   EXPECT_GT(stats_.Get(kLdcMerges), 0u);
   EXPECT_GT(stats_.Get(kLdcFrozenFilesReclaimed), 0u);
   // Every frozen file left must still have live references.
-  for (const auto& kvp : registry()->all_frozen()) {
+  for (const auto& kvp : links().frozen) {
     EXPECT_GT(kvp.second.refs, 0) << "frozen " << kvp.first;
   }
   VerifyAllKeys();
@@ -110,7 +112,7 @@ TEST_F(DBLdcTest, FrozenFilesStayOnDiskUntilReclaimed) {
   FillRandom(6000, 800);
   ASSERT_TRUE(db_->WaitForIdle().ok());
   // Every frozen file's table must exist on disk.
-  for (const auto& kvp : registry()->all_frozen()) {
+  for (const auto& kvp : links().frozen) {
     char name[64];
     std::snprintf(name, sizeof(name), "/db/%06llu.ldb",
                   static_cast<unsigned long long>(kvp.first));
@@ -121,7 +123,7 @@ TEST_F(DBLdcTest, FrozenFilesStayOnDiskUntilReclaimed) {
 TEST_F(DBLdcTest, SliceReadsAreConsulted) {
   FillRandom(6000, 800);
   // Without waiting for idle: links should exist right now.
-  if (registry()->LinkedLowerFileCount() == 0) {
+  if (links().LinkedLowerFileCount() == 0) {
     GTEST_SKIP() << "no outstanding links to exercise";
   }
   stats_.Reset();
@@ -136,25 +138,41 @@ TEST_F(DBLdcTest, LinkStateSurvivesReopen) {
   Reopen();
   ASSERT_TRUE(db_->WaitForIdle().ok());
 
-  const size_t frozen_before = registry()->FrozenFileCount();
-  const size_t linked_before = registry()->LinkedLowerFileCount();
-  std::map<uint64_t, int> refs_before;
-  for (const auto& kvp : registry()->all_frozen()) {
-    refs_before[kvp.first] = kvp.second.refs;
-  }
-  ASSERT_GT(frozen_before, 0u) << "test needs outstanding links";
+  const LdcLinkState before = links();  // A copy.
+  ASSERT_GT(before.FrozenFileCount(), 0u) << "test needs outstanding links";
 
   // A second reopen must reconstruct exactly the same link state from the
-  // manifest (no WAL contents, no level pressure left).
+  // manifest (no WAL contents, no level pressure left): its snapshot
+  // record, written at the first reopen, plus the edits logged since.
   Reopen();
   ASSERT_TRUE(db_->WaitForIdle().ok());
 
-  EXPECT_EQ(frozen_before, registry()->FrozenFileCount());
-  EXPECT_EQ(linked_before, registry()->LinkedLowerFileCount());
-  for (const auto& kvp : registry()->all_frozen()) {
-    auto it = refs_before.find(kvp.first);
-    ASSERT_TRUE(it != refs_before.end()) << "new frozen file " << kvp.first;
-    EXPECT_EQ(it->second, kvp.second.refs) << "frozen " << kvp.first;
+  const LdcLinkState& after = links();
+  ASSERT_EQ(before.links.size(), after.links.size());
+  for (const auto& kvp : before.links) {
+    const std::vector<SliceLinkMeta>* got = after.Links(kvp.first);
+    ASSERT_NE(nullptr, got) << "lower " << kvp.first;
+    ASSERT_EQ(kvp.second.size(), got->size()) << "lower " << kvp.first;
+    for (size_t i = 0; i < got->size(); i++) {
+      const SliceLinkMeta& want = kvp.second[i];
+      const SliceLinkMeta& link = (*got)[i];
+      EXPECT_EQ(want.lower_file_number, link.lower_file_number);
+      EXPECT_EQ(want.frozen_file_number, link.frozen_file_number);
+      EXPECT_EQ(want.smallest.Encode().ToString(),
+                link.smallest.Encode().ToString());
+      EXPECT_EQ(want.largest.Encode().ToString(),
+                link.largest.Encode().ToString());
+      EXPECT_EQ(want.link_seq, link.link_seq);
+      EXPECT_EQ(want.estimated_bytes, link.estimated_bytes);
+    }
+  }
+  ASSERT_EQ(before.frozen.size(), after.frozen.size());
+  for (const auto& kvp : before.frozen) {
+    const FrozenFileMeta* got = after.Frozen(kvp.first);
+    ASSERT_NE(nullptr, got) << "frozen " << kvp.first;
+    EXPECT_EQ(kvp.second.file_size, got->file_size) << kvp.first;
+    EXPECT_EQ(kvp.second.origin_level, got->origin_level) << kvp.first;
+    EXPECT_EQ(kvp.second.refs, got->refs) << kvp.first;
   }
   VerifyAllKeys();
 }
@@ -178,8 +196,8 @@ TEST_F(DBLdcTest, SpacePropertiesAreConsistent) {
   const uint64_t frozen_bytes = Prop("ldc.frozen-bytes");
   const uint64_t total_bytes = Prop("ldc.total-bytes");
   EXPECT_LE(frozen_bytes, total_bytes);
-  EXPECT_EQ(frozen_bytes, registry()->TotalFrozenBytes());
-  EXPECT_EQ(Prop("ldc.frozen-files"), registry()->FrozenFileCount());
+  EXPECT_EQ(frozen_bytes, links().TotalFrozenBytes());
+  EXPECT_EQ(Prop("ldc.frozen-files"), links().FrozenFileCount());
 }
 
 TEST_F(DBLdcTest, SliceThresholdDefaultsToFanOut) {

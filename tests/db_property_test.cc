@@ -8,6 +8,7 @@
 #include <memory>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "ldc/cache.h"
@@ -264,6 +265,71 @@ TEST_P(BlockCacheLiveDataTest, CacheHoldsOnlyLiveTables) {
 
 INSTANTIATE_TEST_SUITE_P(
     Styles, BlockCacheLiveDataTest,
+    testing::Combine(testing::Values(CompactionStyle::kUdc,
+                                     CompactionStyle::kLdc,
+                                     CompactionStyle::kTiered),
+                     testing::Bool()),
+    [](const testing::TestParamInfo<CacheParam>& info) {
+      return StyleName(std::get<0>(info.param)) +
+             (std::get<1>(info.param) ? "Sim" : "Inline");
+    });
+
+// ---- An idle DB holds no obsolete table --------------------------------------
+
+// Jobs delete obsolete tables when they end, except those that a reader's
+// version still pins. Once the reader is gone no job may follow, so
+// WaitForIdle sweeps them: afterwards the table files on disk are exactly
+// the live and frozen tables.
+class IdleSweepTest : public testing::TestWithParam<CacheParam> {};
+
+TEST_P(IdleSweepTest, PinnedTablesLeaveOnceIdle) {
+  std::unique_ptr<Env> env(NewMemEnv());
+  SimContext sim{SsdModel()};  // Must outlive the DB (its destructor drains).
+  Options options;
+  options.env = env.get();
+  options.create_if_missing = true;
+  options.compaction_style = std::get<0>(GetParam());
+  options.write_buffer_size = 16 * 1024;
+  options.max_file_size = 16 * 1024;
+  options.level1_max_bytes = 64 * 1024;
+  options.fan_out = 4;
+  if (std::get<1>(GetParam())) options.sim = &sim;
+  DB* raw = nullptr;
+  ASSERT_TRUE(DB::Open(options, "/db", &raw).ok());
+  std::unique_ptr<DB> db(raw);
+
+  std::string value;
+  auto overwrite = [&](int round) {
+    for (int i = 0; i < 3000; i++) {
+      MakeValue(i % 500, round * 3000 + i, 200, &value);
+      ASSERT_TRUE(db->Put(WriteOptions(), MakeKey(i % 500), value).ok());
+    }
+  };
+  overwrite(0);
+  // The iterator pins the tables of round 0 while round 1 replaces them.
+  std::unique_ptr<Iterator> pin(db->NewIterator(ReadOptions()));
+  overwrite(1);
+  ASSERT_TRUE(db->WaitForIdle().ok());
+  pin.reset();
+  ASSERT_TRUE(db->WaitForIdle().ok());
+
+  std::vector<std::string> children;
+  ASSERT_TRUE(env->GetChildren("/db", &children).ok());
+  uint64_t file_bytes = 0;
+  for (const std::string& child : children) {
+    uint64_t size = 0;
+    if (child.size() > 4 && child.compare(child.size() - 4, 4, ".ldb") == 0 &&
+        env->GetFileSize("/db/" + child, &size).ok()) {
+      file_bytes += size;
+    }
+  }
+  std::string total;
+  ASSERT_TRUE(db->GetProperty("ldc.total-bytes", &total));
+  EXPECT_EQ(std::stoull(total), file_bytes);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Styles, IdleSweepTest,
     testing::Combine(testing::Values(CompactionStyle::kUdc,
                                      CompactionStyle::kLdc,
                                      CompactionStyle::kTiered),

@@ -5,10 +5,14 @@
 // write stalls are observed under level-0 pressure, and the info log ends
 // up in the DB directory.
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "db/db_impl.h"
+#include "db/filename.h"
+#include "db/version_set.h"
 #include "gtest/gtest.h"
 #include "json_checker.h"
 #include "ldc/db.h"
@@ -60,6 +64,7 @@ class CollectingListener : public EventListener {
   void OnFrozenFileReclaimed(const FrozenFileReclaimedInfo& info) override {
     sequence.push_back("frozen-reclaimed");
     reclaims.push_back(info);
+    if (on_reclaim) on_reclaim(info);
   }
   void OnWriteStall(const WriteStallInfo& info) override {
     sequence.push_back("write-stall");
@@ -75,6 +80,7 @@ class CollectingListener : public EventListener {
   std::vector<FrozenFileReclaimedInfo> reclaims;
   std::vector<WriteStallInfo> stalls;
   std::vector<std::string> sequence;
+  std::function<void(const FrozenFileReclaimedInfo&)> on_reclaim;
 };
 
 }  // namespace
@@ -273,6 +279,68 @@ TEST_F(ListenerTest, LdcLinkAndMergeEvents) {
     EXPECT_GT(r.file_number, 0u);
     EXPECT_GT(r.file_size, 0u);
   }
+}
+
+// A merge that consumes a frozen file's last link reports the reclaim after
+// its install, right after its own Completed and OnLdcMerge events, stamped
+// with its completion time. The file is gone from the current version when
+// the event fires, and from disk once the DB is idle.
+TEST_F(ListenerTest, ReclaimEventsFollowTheirMerge) {
+  options_.compaction_style = CompactionStyle::kLdc;
+  Open();
+  // MemEnv runs jobs inline: every callback runs here, inside a Put.
+  VersionSet* versions = static_cast<DBImpl*>(db_.get())->TEST_versions();
+  listener_.on_reclaim = [versions](const FrozenFileReclaimedInfo& info) {
+    EXPECT_EQ(nullptr, versions->current()->links().Frozen(info.file_number))
+        << info.file_number;
+  };
+  FillRandom(8000, 800);
+  ASSERT_TRUE(db_->WaitForIdle().ok());
+  ASSERT_GT(listener_.reclaims.size(), 0u);
+
+  size_t merges = 0;
+  size_t reclaims = 0;
+  int owed = 0;  // reclaims the last merge reported and has not fired yet
+  for (size_t i = 0; i < listener_.sequence.size(); i++) {
+    const std::string& event = listener_.sequence[i];
+    if (event == "frozen-reclaimed") {
+      ASSERT_GT(owed, 0) << "event " << i;
+      owed--;
+      EXPECT_EQ(listener_.merges[merges - 1].micros,
+                listener_.reclaims[reclaims++].micros);
+      continue;
+    }
+    EXPECT_EQ(0, owed) << "event " << i << ": " << event;
+    if (event == "ldc-merge") {
+      ASSERT_EQ("compaction-completed", listener_.sequence[i - 1]);
+      owed = listener_.merges[merges++].frozen_files_reclaimed;
+    }
+  }
+  EXPECT_EQ(0, owed);
+  EXPECT_EQ(listener_.reclaims.size(), reclaims);
+  for (const FrozenFileReclaimedInfo& r : listener_.reclaims) {
+    EXPECT_EQ(nullptr, versions->current()->links().Frozen(r.file_number));
+    EXPECT_FALSE(env_->FileExists(TableFileName("/db", r.file_number)))
+        << r.file_number;
+  }
+}
+
+// Recovery replays the manifest's reclaim records without calling a
+// listener: only a merge's install reports a reclaim.
+TEST_F(ListenerTest, ReopenFiresNoReclaimEvents) {
+  options_.compaction_style = CompactionStyle::kLdc;
+  Open();
+  FillRandom(8000, 800);
+  // Leave no WAL data and no pending merge, so the reopen runs no job.
+  ASSERT_TRUE(static_cast<DBImpl*>(db_.get())->TEST_CompactMemTable().ok());
+  ASSERT_TRUE(db_->WaitForIdle().ok());
+  ASSERT_GT(listener_.reclaims.size(), 0u);
+
+  db_.reset();
+  listener_.reclaims.clear();
+  Open();
+  ASSERT_TRUE(db_->WaitForIdle().ok());
+  EXPECT_EQ(0u, listener_.reclaims.size());
 }
 
 TEST_F(ListenerTest, WriteStallEventsUnderL0Pressure) {
